@@ -10,7 +10,8 @@ two contracts the SampleBlock layer makes:
   loop path's (best-of-N on both sides to keep the tiny CI scale stable).
 
 Runs at tiny scale inside the CI bench smoke on every push, and records
-``{wall_s, speedup, identity_ok}`` into ``BENCH_PR3.json``.
+``{wall_s, speedup, identity_ok}`` into the file
+``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_block.py
 """

@@ -16,7 +16,8 @@ Four cells:
   finish on the survivor with bitwise-identical outcomes; the recovery
   wall and re-dispatch counters are recorded.
 
-Records ``{wall_s, speedup, identity_ok, ...}`` into ``BENCH_PR9.json``.
+Records ``{wall_s, speedup, identity_ok, ...}`` into the file
+``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_cluster.py
 """

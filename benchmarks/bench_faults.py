@@ -16,7 +16,8 @@ Two cells:
   must be absorbed — retried, regenerated, or re-dispatched — with
   outcomes **bitwise-identical** to the clean runs.
 
-Records ``{wall_s, overhead_ratio, identity_ok}`` into ``BENCH_PR9.json``.
+Records ``{wall_s, overhead_ratio, identity_ok}`` into the file
+``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_faults.py
 """

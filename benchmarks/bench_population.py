@@ -3,11 +3,12 @@
 Measures the wall clock of `build_population` through the serial, thread and
 process backends, verifies all three produce a *bitwise identical* bundle
 (values, injection ledger, dirty/ideal split, fitted limits — the sharded
-pipeline's determinism contract), and prints the speedup table. The three
-stages are shard-parallel with per-series pre-spawned streams, so on a
-machine with W free cores the process backend approaches W× on the
-per-series work; on a single-core box the table will honestly show ~1× and
-the identity check still exercises the sharded path end to end.
+pipeline's determinism contract), and prints the speedup table. Two of the
+three stages (generate and inject) are shard-parallel with per-series
+pre-spawned streams, so on a machine with W free cores the process backend
+approaches W× on that per-series work; identification runs serially after
+them. On a single-core box the table will honestly show ~1× and the
+identity check still exercises the sharded path end to end.
 
 Run:  REPRO_SCALE=small PYTHONPATH=src python -m pytest -q -s benchmarks/bench_population.py
 """

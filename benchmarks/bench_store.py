@@ -22,7 +22,8 @@ Two cells, mirroring the two halves of the storage layer:
   strict threshold — at tiny scale the deltas sit near allocator noise.
 
 Records ``{wall_s, speedup, identity_ok}`` (catalog cell) and
-``{rss_ratio, identity_ok}`` (spill cell) into ``BENCH_PR9.json``.
+``{rss_ratio, identity_ok}`` (spill cell) into the file
+``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_store.py
 """

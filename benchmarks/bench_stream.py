@@ -26,7 +26,7 @@ sketches, no pooled arrays) against pooled
 asserting the exact-regime identity contract and recording the walls.
 
 Records ``{wall_s, block_wall_s, rss_ratio, identity_ok}`` per distance and
-the ablation cell into ``BENCH_PR9.json``.
+the ablation cell into the file ``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=small PYTHONPATH=src python -m pytest -q -s benchmarks/bench_stream.py
 """

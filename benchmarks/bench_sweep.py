@@ -16,7 +16,8 @@ from-scratch runs (``build_population`` + ``ExperimentRunner``, no catalog,
 no sharing) — the sweep engine is a scheduler, never a numerics change.
 
 Records ``{wall_s, speedup, identity_ok}`` (warm-over-cold) plus the cold /
-edited walls and the recompute counters into ``BENCH_PR9.json``.
+edited walls and the recompute counters into the file
+``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_sweep.py
 """

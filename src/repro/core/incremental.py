@@ -49,10 +49,12 @@ from repro.glitches.detectors import (
     SigmaOutlierDetector,
 )
 from repro.glitches.missing import detect_missing
+from repro.glitches.types import N_GLITCH_TYPES
 from repro.core.glitch_index import GlitchWeights
 from repro.sampling.replication import ParentGather, TestPair
 from repro.stats.descriptive import sigma_limits
 from repro.stats.ecdf import EcdfSketch
+from repro.utils.validation import check_fraction
 
 __all__ = [
     "StreamWindow",
@@ -66,7 +68,9 @@ __all__ = [
     "analysis_column",
     "outlier_record_fraction",
     "split_verdicts",
+    "cleanliness_fractions",
     "identify_fixed_point",
+    "identify_series",
     "fit_sigma_limits",
     "build_parent_gathers",
     "iter_test_pairs",
@@ -151,6 +155,24 @@ def fit_sigma_limits(
     return SigmaLimits(limits)
 
 
+def cleanliness_fractions(
+    series: Sequence[TimeSeries], constraints: ConstraintSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series record-level ``(missing, inconsistent)`` fraction vectors.
+
+    Neither rate depends on the fitted outlier detector, so every driver
+    computes them once and reuses them in every fixed-point round; the
+    floats replay ``GlitchMatrix.record_fraction`` exactly (same boolean
+    reductions, same division).
+    """
+    miss = np.empty(len(series))
+    inc = np.empty(len(series))
+    for i, s in enumerate(series):
+        miss[i] = float(detect_missing(s).any(axis=1).mean())
+        inc[i] = float(constraints.evaluate(s).any(axis=1).mean())
+    return miss, inc
+
+
 def identify_fixed_point(
     miss: np.ndarray,
     inc: np.ndarray,
@@ -161,23 +183,30 @@ def identify_fixed_point(
     max_fraction: float,
     max_iter: int,
 ) -> tuple[np.ndarray, DetectorSuite]:
-    """The ideal-set / outlier-limit fixed point, engine-agnostically.
+    """The ideal-set / outlier-limit fixed point — its one implementation.
 
-    Replays :func:`~repro.glitches.detectors.identify_ideal` round for
-    round — bootstrap split on the suite-independent missing/inconsistent
-    rates, then fit → re-verdict → re-split until membership is stable —
-    with the two engine-specific steps injected: *fit_limits(verdicts)*
-    fits the sigma limits on the current ideal set, *outlier_fractions
-    (suite)* computes every series' record-level outlier rate under the
-    fitted suite. The pull engine fans both over shard passes; the push
-    service reads both off its window journal. Identical callables in,
-    identical verdicts and suite out — bit for bit.
+    Bootstrap split on the suite-independent missing/inconsistent rates,
+    then fit → re-verdict → re-split until membership is stable or
+    *max_iter* rounds ran, with the two engine-specific steps injected:
+    *fit_limits(verdicts)* fits the sigma limits on the current ideal set,
+    *outlier_fractions(suite)* computes every series' record-level outlier
+    rate under the fitted suite. In-memory series go through
+    :func:`identify_series`; the pull engine fans both steps over shard
+    passes. Identical callables in, identical verdicts and suite out — bit
+    for bit.
     """
-    mf = max_fraction
+    if N_GLITCH_TYPES != 3:  # pragma: no cover - future-taxonomy tripwire
+        raise ValidationError(
+            "the cleanliness verdicts cover exactly the missing/inconsistent/"
+            "outlier taxonomy; a new GlitchType needs its record fraction "
+            "added to identify_fixed_point and its callers"
+        )
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    mf = check_fraction(max_fraction, "max_fraction")
     verdicts = (miss < mf) & (inc < mf)
     split_verdicts(verdicts)
     previous = set(np.flatnonzero(verdicts).tolist())
-    suite = DetectorSuite(constraints=constraints, outlier_detector=None)
     for _ in range(max_iter):
         suite = DetectorSuite(
             constraints=constraints,
@@ -192,6 +221,51 @@ def identify_fixed_point(
             break
         previous = current
     return verdicts, suite
+
+
+def identify_series(
+    series: Sequence[TimeSeries],
+    miss: np.ndarray,
+    inc: np.ndarray,
+    constraints: ConstraintSet,
+    transform: Optional[ScaleTransform],
+    k: float,
+    max_fraction: float,
+    max_iter: int,
+) -> tuple[np.ndarray, DetectorSuite]:
+    """:func:`identify_fixed_point` over series already in memory.
+
+    The driver of the block path
+    (:func:`~repro.glitches.detectors.identify_ideal`) and the push service
+    (:meth:`IncrementalScorer.identify`): the fit pools each kept series'
+    :func:`analysis_column` in population order, and the verdict pass takes
+    one :func:`outlier_record_fraction` per series.
+    """
+    attributes = series[0].attributes
+
+    def fit_limits(verdicts: np.ndarray) -> SigmaLimits:
+        def columns(j: int, attr: str) -> list[np.ndarray]:
+            return [
+                analysis_column(s, j, attr, transform)
+                for s, keep in zip(series, verdicts)
+                if keep
+            ]
+
+        return fit_sigma_limits(attributes, columns, k)
+
+    def outlier_fractions(suite: DetectorSuite) -> np.ndarray:
+        return np.array([outlier_record_fraction(s, suite) for s in series])
+
+    return identify_fixed_point(
+        miss,
+        inc,
+        constraints,
+        transform,
+        fit_limits,
+        outlier_fractions,
+        max_fraction,
+        max_iter,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -839,39 +913,21 @@ class IncrementalScorer:
         """The ideal-set fixed point over the journaled population.
 
         Reassembles the streams (they must be complete) and runs
-        :func:`identify_fixed_point` with journal-backed fit and verdict
-        callables — the same callables the pull engine computes over shard
-        passes, so the verdicts and fitted suite replay
-        :meth:`StreamingExperiment.identify` bit for bit. Freezes the
-        fitted suite for live scoring as a side effect.
+        :func:`identify_series` on them with the folded missing/inconsistent
+        fractions — the driver the block path shares, computing what the
+        pull engine computes over shard passes — so the verdicts and fitted
+        suite replay :meth:`StreamingExperiment.identify` bit for bit.
+        Freezes the fitted suite for live scoring as a side effect.
         """
         series = self.journal.assemble()
-        attributes = series[0].attributes
-        n = len(series)
-        miss, inc = self.cleanliness.fraction_arrays(n)
-
-        def fit_limits(verdicts: np.ndarray) -> SigmaLimits:
-            def columns(j: int, attr: str) -> list[np.ndarray]:
-                return [
-                    analysis_column(s, j, attr, self.transform)
-                    for s, keep in zip(series, verdicts)
-                    if keep
-                ]
-
-            return fit_sigma_limits(attributes, columns, k)
-
-        def outlier_fractions(suite: DetectorSuite) -> np.ndarray:
-            return np.array(
-                [outlier_record_fraction(s, suite) for s in series]
-            )
-
-        verdicts, suite = identify_fixed_point(
+        miss, inc = self.cleanliness.fraction_arrays(len(series))
+        verdicts, suite = identify_series(
+            series,
             miss,
             inc,
             self.constraints,
             self.transform,
-            fit_limits,
-            outlier_fractions,
+            k,
             max_fraction,
             max_iter,
         )

@@ -3,7 +3,8 @@
 The population build (generate -> inject -> identify_ideal) is a sequence of
 per-series computations punctuated by global synchronisation points (the
 event-window draw, the detector fit, the fixed-point test). This module owns
-the generic machinery that fans the per-series parts out:
+the generic machinery that fans the randomized per-series parts (generate
+and inject) out:
 
 * :func:`plan_shards` splits ``n`` items into contiguous index ranges — the
   *shard layout*. The layout is a pure performance knob: every per-item
@@ -72,9 +73,8 @@ class ShardSpec:
     """One contiguous slice ``[start, stop)`` of a population of items.
 
     ``seeds`` holds the pre-spawned per-item seed sequences for the slice
-    (``seeds[i]`` belongs to item ``start + i``); stages without randomness
-    carry an empty tuple. Instances are small and picklable by design —
-    they ride inside every process-backend work unit.
+    (``seeds[i]`` belongs to item ``start + i``). Instances are small and
+    picklable by design — they ride inside every process-backend work unit.
     """
 
     index: int
@@ -160,37 +160,26 @@ def build_shards(
     n_items: int,
     seed: Seed = None,
     shard_size: Optional[int] = None,
-    with_seeds: bool = True,
 ) -> list[ShardSpec]:
     """Shard specs for ``n_items`` items with per-item streams from *seed*.
 
     All ``n_items`` child sequences are spawned up front and sliced into the
     shards, so item ``i`` receives the same stream no matter the layout.
-    ``with_seeds=False`` builds seedless specs for deterministic stages.
 
-    A randomized stage must say where its randomness comes from:
-    ``seed=None`` with ``with_seeds=True`` raises rather than silently
-    spawning OS-entropy streams that would break the bitwise-determinism
-    contract two layers up. Callers that genuinely want fresh entropy can
-    pass ``numpy.random.default_rng()`` explicitly.
+    A sharded stage must say where its randomness comes from: ``seed=None``
+    raises rather than silently spawning OS-entropy streams that would break
+    the bitwise-determinism contract two layers up. Callers that genuinely
+    want fresh entropy can pass ``numpy.random.default_rng()`` explicitly.
     """
-    if with_seeds and seed is None:
+    if seed is None:
         raise ExperimentError(
-            "a randomized sharded stage needs an explicit seed (int, "
-            "SeedSequence or Generator); pass with_seeds=False for a "
-            "deterministic stage or numpy.random.default_rng() for entropy"
+            "a sharded stage needs an explicit seed (int, SeedSequence or "
+            "Generator); pass numpy.random.default_rng() for entropy"
         )
     bounds = plan_shards(n_items, shard_size)
-    seeds: Sequence[np.random.SeedSequence] = (
-        spawn_sequences(seed, n_items) if with_seeds else ()
-    )
+    seeds = spawn_sequences(seed, n_items)
     return [
-        ShardSpec(
-            index=k,
-            start=lo,
-            stop=hi,
-            seeds=tuple(seeds[lo:hi]) if with_seeds else (),
-        )
+        ShardSpec(index=k, start=lo, stop=hi, seeds=tuple(seeds[lo:hi]))
         for k, (lo, hi) in enumerate(bounds)
     ]
 
@@ -285,13 +274,9 @@ class Pipeline:
             return backend
         return cls(backend, n_workers=n_workers, shard_size=shard_size)
 
-    def shards(
-        self, n_items: int, seed: Seed = None, with_seeds: bool = True
-    ) -> list[ShardSpec]:
+    def shards(self, n_items: int, seed: Seed = None) -> list[ShardSpec]:
         """Shard specs for ``n_items`` under this pipeline's shard size."""
-        return build_shards(
-            n_items, seed=seed, shard_size=self.shard_size, with_seeds=with_seeds
-        )
+        return build_shards(n_items, seed=seed, shard_size=self.shard_size)
 
     def run_chunks(
         self, stage: ShardedStage[U, R], shards: Sequence[ShardSpec]

@@ -55,6 +55,7 @@ from repro.errors import ValidationError
 from repro.core.incremental import (
     analysis_column,
     build_parent_gathers,
+    cleanliness_fractions,
     fit_sigma_limits,
     identify_fixed_point,
     iter_test_pairs,
@@ -63,7 +64,6 @@ from repro.core.incremental import (
 )
 from repro.glitches.constraints import ConstraintSet, paper_constraints
 from repro.glitches.detectors import DetectorSuite, ScaleTransform, SigmaLimits
-from repro.glitches.missing import detect_missing
 from repro.sampling.bottom_k import BottomKSketch, indexed_ranks, union_sketches
 from repro.sampling.priority import PrioritySample, priority_sample_indexed
 from repro.sampling.replication import replication_index_streams
@@ -109,21 +109,10 @@ class _ProfileSpec:
 
 
 def _profile_slab(spec: _ProfileSpec, source: SlabSource) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series record-level missing/inconsistent fractions of one shard.
-
-    These two rates never depend on the fitted detector, so they are
-    computed once and reused by every fixed-point round; the floats replay
-    ``GlitchMatrix.record_fraction`` exactly (same boolean reductions, same
-    division).
-    """
+    """Per-series record-level missing/inconsistent fractions of one shard
+    (computed once, reused by every fixed-point round)."""
     inject_fault("unit")
-    series = load_slab(source, spill=True)
-    miss = np.empty(len(series))
-    inc = np.empty(len(series))
-    for i, s in enumerate(series):
-        miss[i] = float(detect_missing(s).any(axis=1).mean())
-        inc[i] = float(spec.constraints.evaluate(s).any(axis=1).mean())
-    return miss, inc
+    return cleanliness_fractions(load_slab(source, spill=True), spec.constraints)
 
 
 @dataclass(frozen=True)
@@ -411,19 +400,13 @@ class StreamingExperiment:
 
         return fit_sigma_limits(self.attributes, columns, self.k)
 
-    @staticmethod
-    def _split(verdicts: np.ndarray) -> tuple[list[int], list[int]]:
-        return split_verdicts(verdicts)
-
     def identify(self) -> tuple[np.ndarray, DetectorSuite]:
         """Stream the ideal-set / outlier-limit fixed point.
 
-        The loop structure replays
-        :func:`~repro.glitches.detectors.identify_ideal` round for round —
-        bootstrap split on missing+inconsistent rates, then fit → re-verdict
-        → re-split until membership is stable — with every per-series pass
-        fanned over the feed's backend and nothing retained beyond verdicts
-        and a handful of floats per series.
+        Drives :func:`~repro.core.incremental.identify_fixed_point`, the
+        loop the block path and the push service share, with every
+        per-series pass fanned over the feed's backend and nothing retained
+        beyond verdicts and a handful of floats per series.
 
         The fixed point is a pure function of the population recipe and the
         identification parameters (all fixed at construction), so it is
@@ -433,15 +416,6 @@ class StreamingExperiment:
         """
         if self._identified is not None:
             return self._identified
-        from repro.glitches.types import N_GLITCH_TYPES
-
-        if N_GLITCH_TYPES != 3:  # pragma: no cover - future-taxonomy tripwire
-            raise ValidationError(
-                "the streaming verdict replay covers exactly the "
-                "missing/inconsistent/outlier taxonomy; a new GlitchType "
-                "needs its record fraction added to _profile_slab/_outlier_slab "
-                "before the identity contract holds again"
-            )
         if not hasattr(self, "attributes"):
             # Peek one shard for the attribute schema (it spills for reuse).
             self.attributes = load_slab(self.feed.sources[0], spill=True)[0].attributes
@@ -501,7 +475,7 @@ class StreamingExperiment:
             )
         try:
             verdicts, suite = self.identify()
-            dirty_idx, ideal_idx = self._split(verdicts)
+            dirty_idx, ideal_idx = split_verdicts(verdicts)
 
             # Draw the replication index streams up front — they only need
             # the two population sizes — then gather just the touched series.

@@ -202,8 +202,9 @@ def build_population(
 ) -> PopulationBundle:
     """Generate, glitch, and partition one population — a staged pipeline.
 
-    The three stages (generate -> inject -> identify_ideal) run shard-parallel
-    over one :class:`~repro.core.pipeline.Pipeline`: ``backend`` accepts a
+    Generation and injection run shard-parallel over one
+    :class:`~repro.core.pipeline.Pipeline`; identification (the ideal-set
+    fixed point) runs serially after them. ``backend`` accepts a
     name (``"serial"``/``"thread"``/``"process:4"``), an
     :class:`~repro.core.executor.ExecutionBackend` instance, or ``None`` to
     defer to the ``REPRO_BACKEND`` environment variable — the same knob the
@@ -229,7 +230,7 @@ def build_population(
         injection_config or GlitchInjectionConfig(), seed=inject_seq
     )
     injection = injector.inject(clean, backend=pipeline)
-    partition, suite = identify_ideal(injection.dataset, backend=pipeline)
+    partition, suite = identify_ideal(injection.dataset)
     return PopulationBundle(
         clean=clean,
         population=injection.dataset,

@@ -39,15 +39,12 @@ from repro.glitches.types import (
 from repro.utils.validation import check_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> cleaning -> glitches)
-    from repro.core.pipeline import Pipeline, ShardSpec
     from repro.data.block import SampleBlock
 
 __all__ = [
     "ScaleTransform",
     "DetectorSuite",
     "CleanlinessPartition",
-    "CleanlinessShard",
-    "cleanliness_shard",
     "partition_by_cleanliness",
     "identify_ideal",
 ]
@@ -240,83 +237,39 @@ class CleanlinessPartition:
         return len(self.ideal_indices) / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class CleanlinessShard:
-    """Picklable work unit: annotate and rate one contiguous series range.
+def _partition(dataset: StreamDataset, verdicts: np.ndarray) -> CleanlinessPartition:
+    from repro.core.incremental import split_verdicts
 
-    Annotation has no randomness, so the shard carries no seed streams —
-    only the series slice, the (picklable) detector suite, and the < 5%
-    threshold.
-    """
-
-    suite: DetectorSuite
-    series: tuple[TimeSeries, ...]
-    max_fraction: float
-
-
-def cleanliness_shard(unit: CleanlinessShard) -> list[bool]:
-    """Per-series cleanliness verdicts for one :class:`CleanlinessShard`."""
-    verdicts = []
-    for series in unit.series:
-        matrix = unit.suite.annotate(series)
-        verdicts.append(
-            all(matrix.record_fraction(g) < unit.max_fraction for g in GlitchType)
-        )
-    return verdicts
-
-
-def partition_by_cleanliness(
-    dataset: StreamDataset,
-    suite: DetectorSuite,
-    max_fraction: float = 0.05,
-    pipeline: "Optional[Pipeline]" = None,
-) -> CleanlinessPartition:
-    """Split *dataset* into dirty and ideal parts by the < 5% rule.
-
-    A series is ideal when its record-level rate of **each** glitch type is
-    below *max_fraction* (Section 4.1). Raises if either side ends up empty —
-    the experimental framework needs both. When a *pipeline* is given, the
-    per-series annotate/rate pass fans out across its backend in shards; the
-    pass is deterministic, so the split is identical to the serial one.
-    """
-    max_fraction = check_fraction(max_fraction, "max_fraction")
-    if pipeline is None:
-        verdicts = cleanliness_shard(
-            CleanlinessShard(
-                suite=suite, series=tuple(dataset), max_fraction=max_fraction
-            )
-        )
-    else:
-        from repro.core.pipeline import ShardedStage
-
-        series = dataset.series
-        shards = pipeline.shards(len(series), with_seeds=False)
-        stage = ShardedStage(
-            "identify",
-            cleanliness_shard,
-            lambda s: CleanlinessShard(
-                suite=suite,
-                series=tuple(series[s.start : s.stop]),
-                max_fraction=max_fraction,
-            ),
-        )
-        verdicts = pipeline.run(stage, shards)
-    dirty_idx: list[int] = []
-    ideal_idx: list[int] = []
-    for i, clean in enumerate(verdicts):
-        (ideal_idx if clean else dirty_idx).append(i)
-    if not ideal_idx:
-        raise ValidationError(
-            "no series met the cleanliness requirement; loosen max_fraction"
-        )
-    if not dirty_idx:
-        raise ValidationError("every series is ideal; nothing to clean")
+    dirty_idx, ideal_idx = split_verdicts(verdicts)
     return CleanlinessPartition(
         dirty=dataset.subset(dirty_idx),
         ideal=dataset.subset(ideal_idx),
         dirty_indices=dirty_idx,
         ideal_indices=ideal_idx,
     )
+
+
+def partition_by_cleanliness(
+    dataset: StreamDataset,
+    suite: DetectorSuite,
+    max_fraction: float = 0.05,
+) -> CleanlinessPartition:
+    """Split *dataset* into dirty and ideal parts by the < 5% rule.
+
+    A series is ideal when its record-level rate of **each** glitch type is
+    below *max_fraction* (Section 4.1). Raises if either side ends up empty —
+    the experimental framework needs both.
+    """
+    from repro.core.incremental import cleanliness_fractions, outlier_record_fraction
+
+    max_fraction = check_fraction(max_fraction, "max_fraction")
+    series = dataset.series
+    miss, inc = cleanliness_fractions(series, suite.constraints)
+    verdicts = (miss < max_fraction) & (inc < max_fraction)
+    if suite.outlier_detector is not None:
+        out = np.array([outlier_record_fraction(s, suite) for s in series])
+        verdicts &= out < max_fraction
+    return _partition(dataset, verdicts)
 
 
 def identify_ideal(
@@ -326,44 +279,28 @@ def identify_ideal(
     k: float = 3.0,
     max_fraction: float = 0.05,
     max_iter: int = 3,
-    backend=None,
-    shard_size: Optional[int] = None,
 ) -> tuple[CleanlinessPartition, DetectorSuite]:
     """Iterate the ideal-set / outlier-limit fixed point.
 
     Round 0 partitions on missing + inconsistent rates alone (no outlier
     limits exist yet); each subsequent round fits 3-sigma limits on the
-    current ideal set, re-annotates, and re-partitions. The loop stops early
-    once the ideal membership is stable. Returns the final partition and the
-    fitted :class:`DetectorSuite` (which downstream code reuses for glitch
-    scoring).
+    current ideal set and re-partitions on the outlier rates under them. The
+    loop stops early once the ideal membership is stable. Returns the final
+    partition and the fitted :class:`DetectorSuite` (which downstream code
+    reuses for glitch scoring).
 
-    The fixed-point loop and the detector fitting stay centralized, but each
-    round's per-series annotate/partition pass fans out over *backend* (a
-    name, an :class:`~repro.core.executor.ExecutionBackend`, or a
-    :class:`~repro.core.pipeline.Pipeline`). The pass is deterministic, so
-    every backend reaches the same fixed point.
+    The missing and inconsistent rates are round-invariant, so they are
+    computed once, serially; the loop itself is
+    :func:`~repro.core.incremental.identify_fixed_point`, the one the
+    streaming engine and the push service run too.
     """
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
-    from repro.core.pipeline import Pipeline
+    from repro.core.incremental import cleanliness_fractions, identify_series
 
-    pipeline = Pipeline.coerce(backend, shard_size=shard_size)
-    bootstrap = DetectorSuite(constraints=constraints, outlier_detector=None)
-    partition = partition_by_cleanliness(
-        dataset, bootstrap, max_fraction, pipeline=pipeline
+    if constraints is None:
+        constraints = paper_constraints()
+    series = dataset.series
+    miss, inc = cleanliness_fractions(series, constraints)
+    verdicts, suite = identify_series(
+        series, miss, inc, constraints, transform, k, max_fraction, max_iter
     )
-    suite = bootstrap
-    previous = set(partition.ideal_indices)
-    for _ in range(max_iter):
-        suite = DetectorSuite.from_ideal(
-            partition.ideal, constraints=constraints, transform=transform, k=k
-        )
-        partition = partition_by_cleanliness(
-            dataset, suite, max_fraction, pipeline=pipeline
-        )
-        current = set(partition.ideal_indices)
-        if current == previous:
-            break
-        previous = current
-    return partition, suite
+    return _partition(dataset, verdicts), suite

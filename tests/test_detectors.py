@@ -1,5 +1,7 @@
 """DetectorSuite, scale transforms, and ideal-set identification."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -185,20 +187,36 @@ class TestIdentifyIdeal:
             a: l5.bounds(a) for a in l5.attributes
         }
 
-    def test_backend_fan_out_matches_serial(self, tiny_bundle):
-        """The sharded annotate/partition pass is a pure fan-out: thread and
-        process backends reach the exact same fixed point."""
-        serial_part, serial_suite = identify_ideal(tiny_bundle.population)
-        for backend in ("thread:2", "process:2"):
-            part, suite = identify_ideal(
-                tiny_bundle.population, backend=backend, shard_size=9
-            )
-            assert part.ideal_indices == serial_part.ideal_indices
-            assert part.dirty_indices == serial_part.dirty_indices
-            ls, lp = serial_suite.outlier_detector.limits, suite.outlier_detector.limits
-            assert {a: ls.bounds(a) for a in ls.attributes} == {
-                a: lp.bounds(a) for a in lp.attributes
-            }
+    @staticmethod
+    def _stdlib_limits(ideal, k=3.0):
+        """3-sigma limits from the pooled finite ideal values, computed with
+        the standard library instead of numpy."""
+        limits = {}
+        for j, attr in enumerate(ideal.attributes):
+            pooled = [
+                float(x) for s in ideal for x in s.values[:, j] if np.isfinite(x)
+            ]
+            mean = statistics.fmean(pooled)
+            sd = statistics.stdev(pooled)
+            limits[attr] = (mean - k * sd, mean + k * sd)
+        return limits
+
+    def test_limits_match_pure_python_oracle(self, tiny_bundle):
+        """The bundle's limits (max_iter=3) were fitted on the ideal set the
+        second round left behind: tiny does not converge within three
+        rounds, so the returned split is one refit past the fit set."""
+        fit_set, _ = identify_ideal(tiny_bundle.population, max_iter=2)
+        limits = tiny_bundle.suite.outlier_detector.limits
+        for attr, (lo, hi) in self._stdlib_limits(fit_set.ideal).items():
+            assert limits.bounds(attr) == pytest.approx((lo, hi), rel=1e-12)
+
+    def test_converged_limits_fit_the_returned_ideal_set(self, tiny_bundle):
+        part, suite = identify_ideal(tiny_bundle.population, max_iter=20)
+        again, _ = identify_ideal(tiny_bundle.population, max_iter=19)
+        assert again.ideal_indices == part.ideal_indices  # converged
+        limits = suite.outlier_detector.limits
+        for attr, (lo, hi) in self._stdlib_limits(part.ideal).items():
+            assert limits.bounds(attr) == pytest.approx((lo, hi), rel=1e-12)
 
     def test_fixed_point_is_stable(self, tiny_bundle):
         part1, suite1 = identify_ideal(tiny_bundle.population, max_iter=3)

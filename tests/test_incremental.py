@@ -22,20 +22,27 @@ from repro.core.incremental import (
     cut_series_windows,
     outlier_record_fraction,
 )
+from repro.core.streaming import StreamingExperiment
+from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
 from repro.data.window import StreamWindow
 from repro.distance.kl import KLDivergence
 from repro.errors import DistanceError, ValidationError
 from repro.glitches.constraints import paper_constraints
+from repro.experiments.config import SCALES, build_population
 from repro.glitches.detectors import (
     DetectorSuite,
     ScaleTransform,
     SigmaLimits,
     SigmaOutlierDetector,
+    identify_ideal,
 )
 from repro.glitches.missing import detect_missing
+from repro.glitches.types import GlitchType
 from repro.stats.ecdf import EcdfSketch
+
+import test_streaming
 
 ATTRS = ("attr1", "attr2", "attr3")
 
@@ -290,6 +297,29 @@ class TestIncrementalScorer:
         for i in range(len(series_list)):
             assert early.glitch_score(i) == late.glitch_score(i)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": -2}, "max_iter"),
+            ({"max_fraction": -0.05}, "max_fraction"),
+            ({"max_fraction": 1.5}, "max_fraction"),
+        ],
+    )
+    def test_identify_rejects_bad_parameters(self, kwargs, message):
+        """max_iter=0 used to return a suite with no outlier detector, and a
+        negative max_fraction failed with "loosen max_fraction"; the shared
+        fixed point now rejects both for every driver."""
+        series_list = [_series(i + 60) for i in range(4)]
+        scorer = IncrementalScorer(paper_constraints())
+        for w in _shuffled_windows(series_list, 11, seed=0):
+            scorer.fold(w)
+        with pytest.raises(ValidationError, match=message):
+            scorer.identify(**kwargs)
+        assert scorer.suite is None
+        with pytest.raises(ValidationError, match=message):
+            identify_ideal(StreamDataset(series_list), **kwargs)
+
     def test_duplicates_do_not_move_state(self):
         series_list = [_series(50)]
         scorer = IncrementalScorer(paper_constraints())
@@ -301,3 +331,67 @@ class TestIncrementalScorer:
         assert not delta.accepted
         assert scorer.n_duplicates == 1
         assert scorer.cleanliness.miss_fraction(0) == before
+
+
+def _bounds(suite):
+    limits = suite.outlier_detector.limits
+    return {a: limits.bounds(a) for a in limits.attributes}
+
+
+class TestOneFixedPoint:
+    """Every identification driver reaches the same ideal-set fixed point,
+    and that fixed point is what the full detector suite says it is."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            SCALES["tiny"].generator,
+            test_streaming.TestRaggedStreaming.RAGGED,
+        ],
+        ids=["tiny", "ragged"],
+    )
+    def population(self, request):
+        bundle = build_population(
+            scale="tiny", seed=0, generator_config=request.param
+        )
+        return request.param, bundle.population
+
+    @pytest.mark.parametrize("max_iter", [1, 5])
+    @pytest.mark.parametrize(
+        "transform", [None, ScaleTransform.log_attr1()], ids=["raw", "log_attr1"]
+    )
+    def test_drivers_agree_with_annotate_oracle(
+        self, population, transform, max_iter
+    ):
+        generator_config, dataset = population
+        partition, suite = identify_ideal(
+            dataset, transform=transform, max_iter=max_iter
+        )
+
+        engine = StreamingExperiment(
+            generator_config=generator_config,
+            seed=0,
+            transform=transform,
+            max_iter=max_iter,
+            spill=False,
+        )
+        streamed, streamed_suite = engine.identify()
+
+        scorer = IncrementalScorer(paper_constraints(), transform=transform)
+        for w in _shuffled_windows(dataset.series, 7, seed=max_iter):
+            scorer.fold(w)
+        pushed, pushed_suite = scorer.identify(max_iter=max_iter)
+
+        for verdicts in (streamed, pushed):
+            assert np.flatnonzero(verdicts).tolist() == partition.ideal_indices
+            assert np.flatnonzero(~verdicts).tolist() == partition.dirty_indices
+        assert _bounds(streamed_suite) == _bounds(suite)
+        assert _bounds(pushed_suite) == _bounds(suite)
+
+        # Oracle outside the fixed-point code: a series is ideal exactly
+        # when the returned suite's full annotation rates it clean.
+        ideal = set(partition.ideal_indices)
+        for i, series in enumerate(dataset):
+            matrix = suite.annotate(series)
+            clean = all(matrix.record_fraction(g) < 0.05 for g in GlitchType)
+            assert clean == (i in ideal)

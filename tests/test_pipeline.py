@@ -68,10 +68,6 @@ class TestBuildShards:
         draws_fine = [np.random.default_rng(s).random() for s in flat_fine]
         assert draws_coarse == draws_fine
 
-    def test_seedless_shards(self):
-        shards = build_shards(7, shard_size=4, with_seeds=False)
-        assert all(s.seeds == () for s in shards)
-
     def test_randomized_shards_require_explicit_seed(self):
         """seed=None must raise, not silently spawn OS-entropy streams."""
         with pytest.raises(ExperimentError):
@@ -109,14 +105,14 @@ class TestPipelineRun:
     def test_results_flatten_in_item_order(self, backend):
         data = list(range(23))
         pipeline = Pipeline(backend, shard_size=5)
-        shards = pipeline.shards(len(data), with_seeds=False)
+        shards = pipeline.shards(len(data), seed=0)
         result = pipeline.run(self._stage(_double_shard, data), shards)
         assert result == [2 * x for x in data]
 
     def test_wrong_result_count_raises(self):
         data = list(range(10))
         pipeline = Pipeline(SerialBackend(), shard_size=4)
-        shards = pipeline.shards(len(data), with_seeds=False)
+        shards = pipeline.shards(len(data), seed=0)
         with pytest.raises(ExperimentError):
             pipeline.run(self._stage(_short_shard, data), shards)
 
