@@ -23,6 +23,17 @@ because
   fixed expression (one division, one matmul, one sum), replayed here
   operation for operation at read time.
 
+Identification runs on one row-verdict kernel. Series are packed into
+NaN-padded ``(n, T, v)`` chunks of at most :data:`CHUNK_SERIES` series that
+carry a valid-row mask and the true lengths (:class:`RowChunk`); each
+detector flags a whole chunk in one elementwise pass, and a series' rate is
+its count of valid flagged rows (:func:`count_rows`) over its length. The
+batch passes (:func:`cleanliness_fractions`, :func:`outlier_fractions`,
+:func:`ideal_column`) serve the block path, the push service and the
+streaming engine's shard passes, and :class:`CleanlinessFold` counts each
+arriving window through the same kernel. Padding is masked out, so ragged
+populations run the same passes as uniform ones.
+
 The distortion fold inherits the mergeable-accumulator guarantees of
 :class:`~repro.distance.histogram.HistogramAccumulator` and
 :class:`~repro.stats.ecdf.EcdfSketch`; see :class:`DistortionFold` for the
@@ -48,7 +59,6 @@ from repro.glitches.detectors import (
     SigmaLimits,
     SigmaOutlierDetector,
 )
-from repro.glitches.missing import detect_missing
 from repro.glitches.types import N_GLITCH_TYPES
 from repro.core.glitch_index import GlitchWeights
 from repro.sampling.replication import ParentGather, TestPair
@@ -65,10 +75,13 @@ __all__ = [
     "GlitchFold",
     "DistortionFold",
     "IncrementalScorer",
-    "analysis_column",
-    "outlier_record_fraction",
-    "split_verdicts",
+    "CHUNK_SERIES",
+    "RowChunk",
+    "count_rows",
     "cleanliness_fractions",
+    "outlier_fractions",
+    "ideal_column",
+    "split_verdicts",
     "identify_fixed_point",
     "identify_series",
     "fit_sigma_limits",
@@ -78,43 +91,161 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Shared per-series arithmetic (the batch passes replay these exactly)
+# The row-verdict kernel: padded-block passes shared by every engine
 # ---------------------------------------------------------------------------
 
+#: Series per padded chunk. Bounds every pass's temporaries at a few MB
+#: (512 x 170 x 3 float64 is 2 MB) whatever the population size.
+CHUNK_SERIES = 512
 
-def analysis_column(
-    series: TimeSeries,
-    attr_index: int,
-    attr_name: str,
-    transform: Optional[ScaleTransform],
-) -> np.ndarray:
-    """One series' finite analysis-scale values of one attribute.
 
-    The per-series inner step of the sigma-limit fit: apply the transform
-    when it targets this attribute, then keep the finite values. Both the
-    elementwise transform and the finite filter commute with any
-    concatenation of the series' windows, so a fit pooled from these columns
-    — in series order — is bitwise-identical whether the columns came from
-    materialised series, streamed shards, or reassembled live windows.
+def count_rows(cells: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
+    """The row-verdict kernel: per series, its real rows with a flagged cell.
+
+    *cells* is a cell-verdict tensor whose last two axes are ``(T, v)`` —
+    one window, or a padded ``(n, T, v)`` :class:`RowChunk`; *valid* is the
+    matching ``(..., T)`` real-row mask (``None``: every row is real). The
+    counts are exact integers.
     """
-    col = series.values[:, attr_index]
-    if transform is not None and transform.attribute == attr_name:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            col = np.asarray(transform.forward(col), dtype=float)
-        return col[np.isfinite(col)]
-    return col[~np.isnan(col)]
+    rows = cells.any(axis=-1)
+    if valid is not None:
+        rows &= valid
+    return rows.sum(axis=-1)
 
 
-def outlier_record_fraction(series: TimeSeries, suite: DetectorSuite) -> float:
-    """Record-level outlier fraction of one series under a fitted suite.
+def _cleanliness_counts(
+    values: np.ndarray,
+    attributes: tuple[str, ...],
+    constraints: ConstraintSet,
+    valid: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Stacked ``(missing, inconsistent)`` :func:`count_rows` of a
+    ``(..., T, v)`` value tensor."""
+    inconsistent = constraints.evaluate_values(values, attributes)
+    return np.stack(
+        [count_rows(np.isnan(values), valid), count_rows(inconsistent, valid)]
+    )
+
+
+def _outlier_counts(
+    values: np.ndarray,
+    attributes: tuple[str, ...],
+    suite: DetectorSuite,
+    valid: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Outlier :func:`count_rows` of a ``(..., T, v)`` value tensor under a
+    fitted suite."""
+    return count_rows(suite.outlier_cells(values, attributes), valid)
+
+
+@dataclass(frozen=True)
+class RowChunk:
+    """Up to :data:`CHUNK_SERIES` series as one NaN-padded ``(n, T, v)`` block.
+
+    ``T`` is the longest member's length and ``valid[i, t]`` marks the rows
+    series ``i`` really has (``t < lengths[i]``). Every detector is
+    row-local and :func:`count_rows` masks the padding out, so ragged
+    populations run the same passes as uniform ones.
+    """
+
+    values: np.ndarray
+    valid: np.ndarray
+    lengths: np.ndarray
+    attributes: tuple[str, ...]
+
+    @classmethod
+    def pack(cls, series: Sequence[TimeSeries]) -> "RowChunk":
+        """Pad *series* (same attributes, any lengths) into one block."""
+        lengths = np.array([s.length for s in series], dtype=np.intp)
+        width = int(lengths.max(initial=0))
+        values = np.full((len(series), width, series[0].n_attributes), np.nan)
+        for row, s in zip(values, series):
+            row[: s.length] = s.values
+        valid = np.arange(width) < lengths[:, None]
+        return cls(values, valid, lengths, series[0].attributes)
+
+    def fractions(self, counts: np.ndarray) -> np.ndarray:
+        """Per-series record fractions of row counts (any leading axes).
+
+        An exact integer count divided once by the length is bitwise the
+        boolean ``.mean()`` over the series' rows; a zero-length series
+        gets NaN, which no ``< max_fraction`` test passes.
+        """
+        with np.errstate(invalid="ignore"):
+            return counts / self.lengths
+
+
+def _iter_chunks(series: Sequence[TimeSeries]) -> Iterator[RowChunk]:
+    """*series* as consecutive padded chunks, in order."""
+    for start in range(0, len(series), CHUNK_SERIES):
+        yield RowChunk.pack(series[start : start + CHUNK_SERIES])
+
+
+def cleanliness_fractions(
+    series: Sequence[TimeSeries], constraints: ConstraintSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series record-level ``(missing, inconsistent)`` fraction vectors.
+
+    Neither rate depends on the fitted outlier detector, so every driver
+    computes them once and reuses them in every fixed-point round; the
+    floats replay ``GlitchMatrix.record_fraction`` exactly.
+    """
+    parts = [
+        chunk.fractions(
+            _cleanliness_counts(chunk.values, chunk.attributes, constraints, chunk.valid)
+        )
+        for chunk in _iter_chunks(series)
+    ]
+    miss, inc = np.concatenate(parts, axis=1) if parts else np.empty((2, 0))
+    return miss, inc
+
+
+def outlier_fractions(
+    series: Sequence[TimeSeries], suite: DetectorSuite
+) -> np.ndarray:
+    """Per-series record-level outlier fractions under a fitted suite.
 
     Replays ``GlitchMatrix.record_fraction(OUTLIER)``: scale, detect,
     any-attribute reduce, mean over records.
     """
-    transform = suite.transform
-    detector = suite.outlier_detector
-    scaled = transform.apply(series) if transform else series
-    return float(detector.detect(scaled).any(axis=1).mean())
+    parts = [
+        chunk.fractions(
+            _outlier_counts(chunk.values, chunk.attributes, suite, chunk.valid)
+        )
+        for chunk in _iter_chunks(series)
+    ]
+    return np.concatenate(parts or [np.empty(0)])
+
+
+def ideal_column(
+    series: Sequence[TimeSeries],
+    keep: Sequence[bool],
+    attr_index: int,
+    transform: Optional[ScaleTransform],
+) -> np.ndarray:
+    """The kept series' pooled analysis-scale values of one attribute.
+
+    The inner step of the sigma-limit fit: apply the transform when it
+    targets this attribute and keep the finite values (else drop NaNs
+    only), in series order and then time order — exactly the order of
+    ``StreamDataset.pooled_column`` over the kept series. The transform and
+    the filter are elementwise, so the pooled column is bitwise the same
+    whether the series came from memory, streamed shards, or reassembled
+    live windows.
+    """
+    kept = [s for s, k in zip(series, keep) if k]
+    parts = []
+    for chunk in _iter_chunks(kept):
+        col = chunk.values[..., attr_index]
+        attr = chunk.attributes[attr_index]
+        if transform is not None and transform.attribute == attr:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                col = np.asarray(transform.forward(col), dtype=float)
+            present = np.isfinite(col)
+        else:
+            present = ~np.isnan(col)
+        parts.append(col[present & chunk.valid])
+    return np.concatenate(parts or [np.empty(0)])
 
 
 def split_verdicts(verdicts: np.ndarray) -> tuple[list[int], list[int]]:
@@ -153,24 +284,6 @@ def fit_sigma_limits(
         col = np.concatenate(cols or [np.empty(0)])
         limits[attr] = sigma_limits(col, k=k)
     return SigmaLimits(limits)
-
-
-def cleanliness_fractions(
-    series: Sequence[TimeSeries], constraints: ConstraintSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series record-level ``(missing, inconsistent)`` fraction vectors.
-
-    Neither rate depends on the fitted outlier detector, so every driver
-    computes them once and reuses them in every fixed-point round; the
-    floats replay ``GlitchMatrix.record_fraction`` exactly (same boolean
-    reductions, same division).
-    """
-    miss = np.empty(len(series))
-    inc = np.empty(len(series))
-    for i, s in enumerate(series):
-        miss[i] = float(detect_missing(s).any(axis=1).mean())
-        inc[i] = float(constraints.evaluate(s).any(axis=1).mean())
-    return miss, inc
 
 
 def identify_fixed_point(
@@ -237,24 +350,20 @@ def identify_series(
 
     The driver of the block path
     (:func:`~repro.glitches.detectors.identify_ideal`) and the push service
-    (:meth:`IncrementalScorer.identify`): the fit pools each kept series'
-    :func:`analysis_column` in population order, and the verdict pass takes
-    one :func:`outlier_record_fraction` per series.
+    (:meth:`IncrementalScorer.identify`). Both engine steps are padded-block
+    passes over :data:`CHUNK_SERIES`-series chunks: the fit pools each
+    attribute's :func:`ideal_column` in population order, and the verdict
+    pass is one :func:`outlier_fractions` call. Detection runs once per
+    chunk; the only per-series step left is copying rows into the block.
     """
     attributes = series[0].attributes
 
     def fit_limits(verdicts: np.ndarray) -> SigmaLimits:
-        def columns(j: int, attr: str) -> list[np.ndarray]:
-            return [
-                analysis_column(s, j, attr, transform)
-                for s, keep in zip(series, verdicts)
-                if keep
-            ]
-
-        return fit_sigma_limits(attributes, columns, k)
-
-    def outlier_fractions(suite: DetectorSuite) -> np.ndarray:
-        return np.array([outlier_record_fraction(s, suite) for s in series])
+        return fit_sigma_limits(
+            attributes,
+            lambda j, attr: [ideal_column(series, verdicts, j, transform)],
+            k,
+        )
 
     return identify_fixed_point(
         miss,
@@ -262,7 +371,7 @@ def identify_series(
         constraints,
         transform,
         fit_limits,
-        outlier_fractions,
+        lambda suite: outlier_fractions(series, suite),
         max_fraction,
         max_iter,
     )
@@ -433,8 +542,10 @@ class CleanlinessFold:
     Folds each window's row-local verdicts into exact integer counts:
     records with any missing cell, records violating any constraint, and —
     when a fitted *suite* is attached — records with any outlier cell. The
-    fractions read back as ``count / n_records``, which is bitwise what the
-    batch pass's ``mask.any(axis=1).mean()`` computes (a boolean mean is an
+    window goes through the batch passes' row-verdict kernel
+    (:func:`count_rows`) with every row real. The fractions read back as
+    ``count / n_records``, which is bitwise what the batch pass's
+    ``mask.any(axis=1).mean()`` computes (a boolean mean is an
     exact integer sum divided by the length), so fold order and window
     widths never show in the result.
     """
@@ -453,19 +564,14 @@ class CleanlinessFold:
 
     def fold(self, stream_id: int, window: TimeSeries) -> None:
         """Fold one window's rows into the stream's counters."""
+        values, attributes = window.values, window.attributes
+        miss, inc = _cleanliness_counts(values, attributes, self.constraints)
         self._records[stream_id] = self._records.get(stream_id, 0) + window.length
-        self._miss[stream_id] = self._miss.get(stream_id, 0) + int(
-            detect_missing(window).any(axis=1).sum()
-        )
-        self._inc[stream_id] = self._inc.get(stream_id, 0) + int(
-            self.constraints.evaluate(window).any(axis=1).sum()
-        )
+        self._miss[stream_id] = self._miss.get(stream_id, 0) + int(miss)
+        self._inc[stream_id] = self._inc.get(stream_id, 0) + int(inc)
         if self.suite is not None and self.suite.outlier_detector is not None:
-            transform = self.suite.transform
-            scaled = transform.apply(window) if transform else window
-            self._out[stream_id] = self._out.get(stream_id, 0) + int(
-                self.suite.outlier_detector.detect(scaled).any(axis=1).sum()
-            )
+            out = _outlier_counts(values, attributes, self.suite)
+            self._out[stream_id] = self._out.get(stream_id, 0) + int(out)
 
     def n_records(self, stream_id: int) -> int:
         """Records folded for one stream so far."""

@@ -53,13 +53,13 @@ from repro.data.stream import TimeSeries
 from repro.distance.base import Distance
 from repro.errors import ValidationError
 from repro.core.incremental import (
-    analysis_column,
     build_parent_gathers,
     cleanliness_fractions,
     fit_sigma_limits,
     identify_fixed_point,
+    ideal_column,
     iter_test_pairs,
-    outlier_record_fraction,
+    outlier_fractions,
     split_verdicts,
 )
 from repro.glitches.constraints import ConstraintSet, paper_constraints
@@ -124,8 +124,7 @@ class _OutlierSpec:
 
 def _outlier_slab(spec: _OutlierSpec, source: SlabSource) -> np.ndarray:
     inject_fault("unit")
-    series = load_slab(source)
-    return np.array([outlier_record_fraction(s, spec.suite) for s in series])
+    return outlier_fractions(load_slab(source), spec.suite)
 
 
 @dataclass(frozen=True)
@@ -134,27 +133,20 @@ class _ColumnSpec:
 
     transform: Optional[ScaleTransform]
     attr_index: int
-    attr_name: str
 
 
-def _column_slab(
-    spec: _ColumnSpec, unit: tuple[SlabSource, np.ndarray]
-) -> list[np.ndarray]:
-    """Complete column values of the shard's ideal-verdict series.
+def _column_slab(spec: _ColumnSpec, unit: tuple[SlabSource, np.ndarray]) -> np.ndarray:
+    """The shard's slice of the pooled ideal column: one padded-block
+    :func:`~repro.core.incremental.ideal_column` pass over its
+    ideal-verdict series.
 
-    Replays the ``transform.apply_dataset`` → ``pooled_column(dropna=True)``
-    arithmetic per series: the elementwise transform and the NaN drop both
-    commute with concatenation, so the coordinator's concatenated column is
+    The elementwise transform and the NaN drop both commute with
+    concatenation, so the coordinator's concatenated column is
     bitwise-identical to pooling the materialised ideal data set.
     """
     inject_fault("unit")
     source, keep = unit
-    series = load_slab(source)
-    return [
-        analysis_column(s, spec.attr_index, spec.attr_name, spec.transform)
-        for s, keep_one in zip(series, keep)
-        if keep_one
-    ]
+    return ideal_column(load_slab(source), keep, spec.attr_index, spec.transform)
 
 
 @dataclass(frozen=True)
@@ -390,13 +382,8 @@ class StreamingExperiment:
         ``SigmaLimits.from_dataset(scaled_ideal, k=k)``.
         """
         def columns(j: int, attr: str) -> list[np.ndarray]:
-            spec = _ColumnSpec(
-                transform=self.transform, attr_index=j, attr_name=attr
-            )
-            chunks = self._map(
-                partial(_column_slab, spec), self._shard_units(verdicts)
-            )
-            return [c for chunk in chunks for c in chunk]
+            spec = _ColumnSpec(transform=self.transform, attr_index=j)
+            return self._map(partial(_column_slab, spec), self._shard_units(verdicts))
 
         return fit_sigma_limits(self.attributes, columns, self.k)
 
@@ -404,9 +391,10 @@ class StreamingExperiment:
         """Stream the ideal-set / outlier-limit fixed point.
 
         Drives :func:`~repro.core.incremental.identify_fixed_point`, the
-        loop the block path and the push service share, with every
-        per-series pass fanned over the feed's backend and nothing retained
-        beyond verdicts and a handful of floats per series.
+        loop the block path and the push service share, with every pass
+        fanned over the feed's backend as one padded-block kernel pass per
+        shard, and nothing retained beyond verdicts and a handful of floats
+        per series.
 
         The fixed point is a pure function of the population recipe and the
         identification parameters (all fixed at construction), so it is

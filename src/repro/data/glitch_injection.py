@@ -380,57 +380,55 @@ def _inject_series(
     length, v = values.shape
     event_here = events[:length]
     sp = lambda p: min(1.0, p * scale)  # noqa: E731 - scaled probability
+    count = np.count_nonzero
 
     anomaly_mask = np.zeros((length, v), dtype=bool)
     corruption_mask = np.zeros((length, v), dtype=bool)
     missing_mask = np.zeros((length, v), dtype=bool)
-
-    j1, j2, j3 = 0, 1, 2  # attr1, attr2, attr3 columns
+    # attr1, attr2, attr3 column views: every write lands in the (T, v) arrays.
+    x1, x2, x3 = values[:, 0], values[:, 1], values[:, 2]
+    anomaly1, anomaly2, anomaly3 = (anomaly_mask[:, j] for j in range(3))
 
     # 1. anomalies (spikes/dips) -- corrupt values, detection comes later.
     burst = _burst_mask(rng, length, sp(cfg.anomaly_enter), cfg.anomaly_exit)
     burst |= event_here & (rng.random(length) < sp(cfg.event_anomaly_boost))
-    starts = np.flatnonzero(burst & ~np.roll(burst, 1))
-    if burst[0]:
-        starts = np.union1d(starts, [0])
-    # Label each burst with its own dip/spike decision so consecutive
-    # records share a regime, as real equipment faults do.
-    regime = np.zeros(length, dtype=bool)  # True = dip
-    for s in starts:
-        e = s
-        while e < length and burst[e]:
-            e += 1
-        regime[s:e] = rng.random() < cfg.dip_share
     idx = np.flatnonzero(burst)
-    for t in idx:
-        if regime[t]:
-            factor = rng.uniform(*cfg.dip_factor_range)
-        else:
-            factor = rng.uniform(*cfg.spike_factor_range)
-        values[t, j1] *= factor
-        anomaly_mask[t, j1] = True
-        if rng.random() < cfg.attr2_coupling:
-            values[t, j2] *= factor
-            anomaly_mask[t, j2] = True
+    # Each maximal burst run gets its own dip/spike decision so consecutive
+    # records share a regime, as real equipment faults do. Draw order: one
+    # regime draw per run, then per burst record a (factor, attr2-coupling)
+    # pair; each factor is lo + (hi - lo) * u, exactly Generator.uniform.
+    run_start = burst.copy()
+    run_start[1:] &= ~burst[:-1]
+    run = np.cumsum(run_start)[idx] - 1
+    dip = (rng.random(count(run_start)) < cfg.dip_share)[run]
+    u = rng.random(2 * idx.size)
+    dip_lo, dip_hi = cfg.dip_factor_range
+    spike_lo, spike_hi = cfg.spike_factor_range
+    lo = np.where(dip, float(dip_lo), float(spike_lo))
+    hi = np.where(dip, float(dip_hi), float(spike_hi))
+    factor = lo + (hi - lo) * u[0::2]
+    x1[idx] *= factor
+    anomaly1[idx] = True
+    coupled = u[1::2] < cfg.attr2_coupling
+    x2[idx[coupled]] *= factor[coupled]
+    anomaly2[idx[coupled]] = True
 
     crash = rng.random(length) < sp(cfg.attr3_crash)
-    values[crash, j3] = rng.uniform(*cfg.attr3_crash_range, size=int(crash.sum()))
-    anomaly_mask[:, j3] |= crash
+    x3[crash] = rng.uniform(*cfg.attr3_crash_range, size=count(crash))
+    anomaly3 |= crash
 
     # 2. inconsistencies -- constraint-violating values.
     neg = rng.random(length) < sp(cfg.negative_attr1)
-    values[neg, j1] = -np.abs(values[neg, j1]) * rng.uniform(
-        0.05, 0.5, size=int(neg.sum())
-    )
-    corruption_mask[neg, j1] = True
+    x1[neg] = -np.abs(x1[neg]) * rng.uniform(0.05, 0.5, size=count(neg))
+    corruption_mask[:, 0] = neg
 
     oor = rng.random(length) < sp(cfg.attr3_out_of_range)
     above = rng.random(length) < cfg.attr3_above_one_share
     hi_mask = oor & above
     lo_mask = oor & ~above
-    values[hi_mask, j3] = 1.0 + rng.uniform(0.01, 0.08, size=int(hi_mask.sum()))
-    values[lo_mask, j3] = -rng.uniform(0.01, 0.2, size=int(lo_mask.sum()))
-    corruption_mask[:, j3] |= oor
+    x3[hi_mask] = 1.0 + rng.uniform(0.01, 0.08, size=count(hi_mask))
+    x3[lo_mask] = -rng.uniform(0.01, 0.2, size=count(lo_mask))
+    corruption_mask[:, 2] = oor
 
     # 3. missing values -- outage bursts on attr3, partial loss of attr1/2.
     outage = _burst_mask(rng, length, sp(cfg.outage_enter), cfg.outage_exit)
@@ -439,17 +437,15 @@ def _inject_series(
     # of attr3, whose surviving value is a crashed ratio.
     counter_fault = outage & (rng.random(length) < cfg.outage_ratio_crash)
     ratio_outage = outage & ~counter_fault
-    missing_mask[ratio_outage, j3] = True
     lost1 = ratio_outage & (rng.random(length) < cfg.attr1_loss_in_outage)
     lost2 = ratio_outage & (rng.random(length) < cfg.attr2_loss_in_outage)
     lost1 |= counter_fault
     lost2 |= counter_fault
-    missing_mask[lost1, j1] = True
-    missing_mask[lost2, j2] = True
-    values[counter_fault, j3] = rng.uniform(
-        *cfg.ratio_crash_range, size=int(counter_fault.sum())
-    )
-    anomaly_mask[counter_fault, j3] = True
+    missing_mask[:, 0] = lost1
+    missing_mask[:, 1] = lost2
+    missing_mask[:, 2] = ratio_outage
+    x3[counter_fault] = rng.uniform(*cfg.ratio_crash_range, size=count(counter_fault))
+    anomaly3 |= counter_fault
     # Co-occurring stress: surviving attr1/attr2 values inside an outage
     # record are often extreme (the fault that caused the outage). These
     # records are incomplete, so the stress never reaches the pooled
@@ -458,14 +454,10 @@ def _inject_series(
     stress_record = ratio_outage & (rng.random(length) < cfg.outage_stress)
     stressed1 = stress_record & ~lost1
     stressed2 = stress_record & ~lost2
-    values[stressed1, j1] *= rng.uniform(
-        *cfg.stress_factor_range, size=int(stressed1.sum())
-    )
-    values[stressed2, j2] *= rng.uniform(
-        *cfg.stress_factor_range, size=int(stressed2.sum())
-    )
-    anomaly_mask[stressed1, j1] = True
-    anomaly_mask[stressed2, j2] = True
+    x1[stressed1] *= rng.uniform(*cfg.stress_factor_range, size=count(stressed1))
+    x2[stressed2] *= rng.uniform(*cfg.stress_factor_range, size=count(stressed2))
+    anomaly1 |= stressed1
+    anomaly2 |= stressed2
     isolated = rng.random((length, v)) < sp(cfg.isolated_missing)
     missing_mask |= isolated
     values[missing_mask] = np.nan

@@ -195,23 +195,36 @@ class DetectorSuite:
             values, block.attributes
         )
         if self.outlier_detector is not None:
-            scaled = (
-                self.transform.forward_values(values, block.attributes)
-                if self.transform
-                else values
+            bits[..., int(GlitchType.OUTLIER)] = self.outlier_cells(
+                values, block.attributes
             )
-            detect_values = getattr(self.outlier_detector, "detect_values", None)
-            if detect_values is not None:
-                bits[..., int(GlitchType.OUTLIER)] = detect_values(
-                    scaled, block.attributes
-                )
-            else:  # pragma: no cover - custom detector shim
-                for i in range(block.n_series):
-                    series = TimeSeries(block.nodes[i], scaled[i], block.attributes)
-                    bits[i, :, :, int(GlitchType.OUTLIER)] = self.outlier_detector.detect(
-                        series
-                    )
         return BlockGlitches(bits)
+
+    def outlier_cells(
+        self, values: np.ndarray, attributes: tuple[str, ...]
+    ) -> np.ndarray:
+        """Outlier mask of a raw ``(..., T, v)`` value tensor (same shape out).
+
+        Scales the tensor to the analysis scale, then flags it in one
+        elementwise pass — bitwise the per-series :meth:`annotate` outlier
+        plane. An outlier detector without an array-level ``detect_values``
+        falls back to series views.
+        """
+        scaled = (
+            self.transform.forward_values(values, attributes)
+            if self.transform
+            else values
+        )
+        detect_values = getattr(self.outlier_detector, "detect_values", None)
+        if detect_values is not None:
+            return detect_values(scaled, attributes)
+        rows = scaled.reshape((-1,) + scaled.shape[-2:])  # pragma: no cover
+        return np.stack(  # pragma: no cover - custom detector shim
+            [
+                self.outlier_detector.detect(TimeSeries(None, r, attributes))
+                for r in rows
+            ]
+        ).reshape(scaled.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         t = self.transform.name if self.transform else "raw"
@@ -260,15 +273,14 @@ def partition_by_cleanliness(
     below *max_fraction* (Section 4.1). Raises if either side ends up empty —
     the experimental framework needs both.
     """
-    from repro.core.incremental import cleanliness_fractions, outlier_record_fraction
+    from repro.core.incremental import cleanliness_fractions, outlier_fractions
 
     max_fraction = check_fraction(max_fraction, "max_fraction")
     series = dataset.series
     miss, inc = cleanliness_fractions(series, suite.constraints)
     verdicts = (miss < max_fraction) & (inc < max_fraction)
     if suite.outlier_detector is not None:
-        out = np.array([outlier_record_fraction(s, suite) for s in series])
-        verdicts &= out < max_fraction
+        verdicts &= outlier_fractions(series, suite) < max_fraction
     return _partition(dataset, verdicts)
 
 

@@ -5,13 +5,20 @@ import statistics
 import numpy as np
 import pytest
 
+from repro.core.incremental import cleanliness_fractions, outlier_fractions
 from repro.errors import ValidationError
+from repro.glitches.constraints import (
+    LowerBoundConstraint,
+    RangeConstraint,
+    paper_constraints,
+)
 from repro.glitches.detectors import (
     DetectorSuite,
     ScaleTransform,
     identify_ideal,
     partition_by_cleanliness,
 )
+from repro.glitches.outliers import WindowedOutlierDetector
 from repro.glitches.types import GlitchType
 
 from helpers import make_dataset, make_series
@@ -84,6 +91,19 @@ class TestDetectorSuite:
             assert np.array_equal(
                 a.plane(GlitchType.INCONSISTENT), b.plane(GlitchType.INCONSISTENT)
             )
+
+    def test_detect_only_detector_runs_in_padded_blocks(self, tiny_bundle):
+        """A detector with only a per-series ``detect`` still feeds the
+        padded-block outlier pass, with the per-series verdicts."""
+        suite = DetectorSuite(
+            outlier_detector=WindowedOutlierDetector(window=12, k=2.5, min_history=4)
+        )
+        series = tiny_bundle.population.series[:40]
+        expected = [
+            suite.annotate(s).record_fraction(GlitchType.OUTLIER) for s in series
+        ]
+        assert outlier_fractions(series, suite).tolist() == expected
+        assert max(expected) > 0
 
     def test_log_scale_flags_dips(self, small_bundle):
         """Log-scale outlier rate exceeds raw-scale rate (Table 1's 5% vs 17%)."""
@@ -226,3 +246,48 @@ class TestIdentifyIdeal:
     def test_rejects_bad_max_iter(self, tiny_bundle):
         with pytest.raises(ValidationError):
             identify_ideal(tiny_bundle.population, max_iter=0)
+
+
+class TestTruthMaskOracle:
+    """Detector verdicts against the injector's own ledger of what it did.
+
+    The ledger is written by the injector, not by any detector, so these
+    relations catch a bug in a detector layer that every engine shares.
+    """
+
+    @pytest.fixture(scope="class", params=["tiny", "ragged", "small"])
+    def bundle(self, request):
+        if request.param == "ragged":
+            import test_streaming
+            from repro.experiments.config import build_population
+
+            return build_population(
+                scale="tiny",
+                seed=0,
+                generator_config=test_streaming.TestRaggedStreaming.RAGGED,
+            )
+        return request.getfixturevalue(f"{request.param}_bundle")
+
+    def test_constraint1_verdicts_equal_corruption_ledger(self, bundle):
+        rule = LowerBoundConstraint("attr1", 0.0)
+        j = bundle.population.attributes.index("attr1")
+        for series, record in zip(bundle.population, bundle.injection.records):
+            assert np.array_equal(
+                rule.evaluate(series)[:, j], record.corruption_mask[:, j]
+            )
+
+    def test_range_verdicts_within_corruption_ledger(self, bundle):
+        rule = RangeConstraint("attr3", 0.0, 1.0)
+        j = bundle.population.attributes.index("attr3")
+        for series, record in zip(bundle.population, bundle.injection.records):
+            flagged = rule.evaluate(series)[:, j]
+            assert not (flagged & ~record.corruption_mask[:, j]).any()
+
+    def test_missing_fractions_equal_ledger(self, bundle):
+        miss, _ = cleanliness_fractions(
+            bundle.population.series, paper_constraints()
+        )
+        ledger = np.array(
+            [r.missing_mask.any(axis=1).mean() for r in bundle.injection.records]
+        )
+        assert miss.tobytes() == ledger.tobytes()

@@ -18,9 +18,8 @@ from repro.core.incremental import (
     GlitchFold,
     IncrementalScorer,
     WindowJournal,
-    analysis_column,
     cut_series_windows,
-    outlier_record_fraction,
+    ideal_column,
 )
 from repro.core.streaming import StreamingExperiment
 from repro.data.dataset import StreamDataset
@@ -154,7 +153,9 @@ class TestCleanlinessFold:
             assert fold.inc_fraction(i) == float(
                 constraints.evaluate(s).any(axis=1).mean()
             )
-            assert fold.out_fraction(i) == outlier_record_fraction(s, suite)
+            assert fold.out_fraction(i) == suite.annotate(s).record_fraction(
+                GlitchType.OUTLIER
+            )
 
 
 class TestGlitchFold:
@@ -178,14 +179,14 @@ class TestAnalysisColumn:
     def test_transformed_column_replays_pooling(self):
         transform = ScaleTransform.log_attr1()
         s = _series(21)
-        col = analysis_column(s, 0, "attr1", transform)
+        col = ideal_column([s], [True], 0, transform)
         raw = s.values[:, 0]
         with np.errstate(invalid="ignore", divide="ignore"):
             expected = np.log(raw)
         expected = expected[np.isfinite(expected)]
         assert np.array_equal(col, expected)
         # Untransformed attributes: NaN drop only.
-        col2 = analysis_column(s, 1, "attr2", transform)
+        col2 = ideal_column([s], [True], 1, transform)
         raw2 = s.values[:, 1]
         assert np.array_equal(col2, raw2[~np.isnan(raw2)])
 
