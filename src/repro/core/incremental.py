@@ -30,9 +30,12 @@ detector flags a whole chunk in one elementwise pass, and a series' rate is
 its count of valid flagged rows (:func:`count_rows`) over its length. The
 batch passes (:func:`cleanliness_fractions`, :func:`outlier_fractions`,
 :func:`ideal_column`) serve the block path, the push service and the
-streaming engine's shard passes, and :class:`CleanlinessFold` counts each
-arriving window through the same kernel. Padding is masked out, so ragged
-populations run the same passes as uniform ones.
+streaming engine's shard passes. The live folds count through the same
+kernel: :class:`CleanlinessFold` counts each arriving window's missing and
+inconsistent rows, and :class:`GlitchFold` counts glitch cells and outlier
+rows (:func:`_glitch_counts`) per window after a suite froze, and per chunk
+when :meth:`IncrementalScorer.freeze_suite` backfills the journal. Padding
+is masked out, so ragged populations run the same passes as uniform ones.
 
 The distortion fold inherits the mergeable-accumulator guarantees of
 :class:`~repro.distance.histogram.HistogramAccumulator` and
@@ -59,7 +62,7 @@ from repro.glitches.detectors import (
     SigmaLimits,
     SigmaOutlierDetector,
 )
-from repro.glitches.types import N_GLITCH_TYPES
+from repro.glitches.types import N_GLITCH_TYPES, GlitchType
 from repro.core.glitch_index import GlitchWeights
 from repro.sampling.replication import ParentGather, TestPair
 from repro.stats.descriptive import sigma_limits
@@ -138,6 +141,26 @@ def _outlier_counts(
     return count_rows(suite.outlier_cells(values, attributes), valid)
 
 
+def _glitch_counts(
+    values: np.ndarray,
+    attributes: tuple[str, ...],
+    suite: DetectorSuite,
+    valid: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series glitch cell counts and outlier-row counts of a
+    ``(..., T, v)`` value tensor under *suite*.
+
+    The cell counts are the ``(..., v, m)`` bits of
+    :meth:`~repro.glitches.detectors.DetectorSuite.cell_bits` summed over
+    the real rows; the outlier-row counts are :func:`count_rows` of the
+    outlier plane. Both are exact integers.
+    """
+    bits = suite.cell_bits(values, attributes)
+    if valid is not None:
+        bits &= valid[..., None, None]
+    return bits.sum(axis=-3), count_rows(bits[..., int(GlitchType.OUTLIER)])
+
+
 @dataclass(frozen=True)
 class RowChunk:
     """Up to :data:`CHUNK_SERIES` series as one NaN-padded ``(n, T, v)`` block.
@@ -156,13 +179,20 @@ class RowChunk:
     @classmethod
     def pack(cls, series: Sequence[TimeSeries]) -> "RowChunk":
         """Pad *series* (same attributes, any lengths) into one block."""
-        lengths = np.array([s.length for s in series], dtype=np.intp)
+        return cls.from_rows([s.values for s in series], series[0].attributes)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[np.ndarray], attributes: Sequence[str]
+    ) -> "RowChunk":
+        """Pad per-series ``(T_i, v)`` row arrays into one block."""
+        lengths = np.array([len(r) for r in rows], dtype=np.intp)
         width = int(lengths.max(initial=0))
-        values = np.full((len(series), width, series[0].n_attributes), np.nan)
-        for row, s in zip(values, series):
-            row[: s.length] = s.values
+        values = np.full((len(rows), width, len(attributes)), np.nan)
+        for row, r in zip(values, rows):
+            row[: len(r)] = r
         valid = np.arange(width) < lengths[:, None]
-        return cls(values, valid, lengths, series[0].attributes)
+        return cls(values, valid, lengths, tuple(attributes))
 
     def fractions(self, counts: np.ndarray) -> np.ndarray:
         """Per-series record fractions of row counts (any leading axes).
@@ -495,20 +525,29 @@ class WindowJournal:
         """Stream ids seen so far, ascending."""
         return sorted(self._streams)
 
-    def series(self, stream_id: int) -> TimeSeries:
-        """The reassembled series of one stream (its windows must be
-        gap-free from ``seq=0``)."""
+    def _windows(self, stream_id: int) -> list[StreamWindow]:
+        """One stream's windows in ``seq`` order (gaps allowed)."""
         per_stream = self._streams.get(stream_id)
         if not per_stream:
             raise ValidationError(f"no windows journaled for stream {stream_id}")
-        seqs = sorted(per_stream)
-        if seqs != list(range(len(seqs))):
-            missing = sorted(set(range(seqs[-1] + 1)) - set(seqs))
+        return [per_stream[s] for s in sorted(per_stream)]
+
+    def rows(self, stream_id: int) -> np.ndarray:
+        """One stream's journaled rows: its windows concatenated in ``seq``
+        order. Gaps are allowed — the row-local glitch counts of a partly
+        delivered stream do not depend on where the missing windows sit."""
+        return np.concatenate([w.values for w in self._windows(stream_id)], axis=0)
+
+    def series(self, stream_id: int) -> TimeSeries:
+        """The reassembled series of one stream (its windows must be
+        gap-free from ``seq=0``)."""
+        ordered = self._windows(stream_id)
+        seqs = [w.seq for w in ordered]
+        if seqs[-1] != len(seqs) - 1:
             raise ValidationError(
-                f"stream {stream_id} has window gaps at seq {missing}; "
-                "cannot reassemble"
+                f"stream {stream_id} has {seqs[-1] + 1 - len(seqs)} window "
+                f"gaps, first at seq {_first_gaps(seqs)}; cannot reassemble"
             )
-        ordered = [per_stream[s] for s in seqs]
         first = ordered[0]
         values = np.concatenate([w.values for w in ordered], axis=0)
         truth = None
@@ -523,12 +562,26 @@ class WindowJournal:
         sparse sample of one.
         """
         ids = self.stream_ids()
-        if ids != list(range(len(ids))):
-            missing = sorted(set(range(ids[-1] + 1)) - set(ids))
+        if ids and ids[-1] != len(ids) - 1:
             raise ValidationError(
-                f"missing streams {missing}; cannot assemble the population"
+                f"{ids[-1] + 1 - len(ids)} missing streams, first "
+                f"{_first_gaps(ids)}; cannot assemble the population"
             )
         return [self.series(i) for i in ids]
+
+
+def _first_gaps(keys: Sequence[int], limit: int = 10) -> list[int]:
+    """The first *limit* integers in ``0..keys[-1]`` absent from the sorted,
+    distinct *keys* — one walk over the keys, whatever the key range."""
+    gaps: list[int] = []
+    expected = 0
+    for key in keys:
+        if key > expected:
+            gaps.extend(range(expected, min(key, expected + limit - len(gaps))))
+            if len(gaps) >= limit:
+                break
+        expected = key + 1
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +590,13 @@ class WindowJournal:
 
 
 class CleanlinessFold:
-    """Per-stream record-level glitch-rate counters.
+    """Per-stream missing and inconsistent record counters.
 
     Folds each window's row-local verdicts into exact integer counts:
-    records with any missing cell, records violating any constraint, and —
-    when a fitted *suite* is attached — records with any outlier cell. The
-    window goes through the batch passes' row-verdict kernel
+    records with any missing cell and records violating any constraint.
+    Neither depends on a fitted detector, so the fold runs from the first
+    arrival; outlier rows are :class:`GlitchFold`'s, once a suite froze.
+    The window goes through the batch passes' row-verdict kernel
     (:func:`count_rows`) with every row real. The fractions read back as
     ``count / n_records``, which is bitwise what the batch pass's
     ``mask.any(axis=1).mean()`` computes (a boolean mean is an
@@ -550,28 +604,20 @@ class CleanlinessFold:
     widths never show in the result.
     """
 
-    def __init__(
-        self,
-        constraints: ConstraintSet,
-        suite: Optional[DetectorSuite] = None,
-    ):
+    def __init__(self, constraints: ConstraintSet):
         self.constraints = constraints
-        self.suite = suite
         self._miss: Dict[int, int] = {}
         self._inc: Dict[int, int] = {}
-        self._out: Dict[int, int] = {}
         self._records: Dict[int, int] = {}
 
     def fold(self, stream_id: int, window: TimeSeries) -> None:
         """Fold one window's rows into the stream's counters."""
-        values, attributes = window.values, window.attributes
-        miss, inc = _cleanliness_counts(values, attributes, self.constraints)
+        miss, inc = _cleanliness_counts(
+            window.values, window.attributes, self.constraints
+        )
         self._records[stream_id] = self._records.get(stream_id, 0) + window.length
         self._miss[stream_id] = self._miss.get(stream_id, 0) + int(miss)
         self._inc[stream_id] = self._inc.get(stream_id, 0) + int(inc)
-        if self.suite is not None and self.suite.outlier_detector is not None:
-            out = _outlier_counts(values, attributes, self.suite)
-            self._out[stream_id] = self._out.get(stream_id, 0) + int(out)
 
     def n_records(self, stream_id: int) -> int:
         """Records folded for one stream so far."""
@@ -591,11 +637,6 @@ class CleanlinessFold:
         """Fraction of the stream's records violating a constraint."""
         return self._fraction(self._inc, stream_id)
 
-    def out_fraction(self, stream_id: int) -> float:
-        """Fraction of the stream's records with an outlier cell (needs a
-        suite with a fitted detector)."""
-        return self._fraction(self._out, stream_id)
-
     def fraction_arrays(self, n_streams: int) -> tuple[np.ndarray, np.ndarray]:
         """``(miss, inc)`` fraction vectors over streams ``0..n-1``."""
         miss = np.empty(n_streams)
@@ -609,32 +650,51 @@ class CleanlinessFold:
 
 
 class GlitchFold:
-    """Per-stream weighted glitch-score state under a frozen detector suite.
+    """Per-stream glitch-score and outlier-rate state under a frozen suite.
 
-    Folds each window's full ``(w, v, m)`` glitch annotation into exact
-    per-``(attribute, type)`` integer cell counts. :meth:`score` then
-    replays :func:`~repro.core.glitch_index.series_glitch_score` — the same
+    Folds rows into exact integers per stream: per-``(attribute, type)``
+    glitch cell counts and the count of records with an outlier cell, both
+    from the padded-block kernel :func:`_glitch_counts`. :meth:`fold` takes
+    one arriving window; :meth:`fold_chunk` takes a whole :class:`RowChunk`
+    of streams in one pass (the journal backfill at a freeze). The sums are
+    associative, so neither the split into windows or chunks nor the order
+    shows. :meth:`score` then replays
+    :func:`~repro.core.glitch_index.series_glitch_score` — the same
     count-over-length division, the same weight matmul, the same sum — so a
     stream's live score after its last window is bitwise the batch score of
-    the whole series, however the windows arrived.
+    the whole series, however the windows arrived; :meth:`out_fraction`
+    replays ``GlitchMatrix.record_fraction(OUTLIER)`` the same way.
     """
 
     def __init__(self, suite: DetectorSuite, weights: Optional[GlitchWeights] = None):
         self.suite = suite
         self.weights = weights or GlitchWeights()
         self._counts: Dict[int, np.ndarray] = {}
+        self._out: Dict[int, int] = {}
         self._length: Dict[int, int] = {}
 
-    def fold(self, stream_id: int, window: TimeSeries) -> None:
-        """Fold one window's glitch annotation into the stream's counts."""
-        matrix = self.suite.annotate(window)
-        counts = matrix.bits.sum(axis=0)  # (v, m) exact integers
+    def _add(self, stream_id: int, cells: np.ndarray, out: int, length: int) -> None:
         if stream_id in self._counts:
-            self._counts[stream_id] += counts
-            self._length[stream_id] += matrix.length
+            self._counts[stream_id] += cells
+            self._out[stream_id] += out
+            self._length[stream_id] += length
         else:
-            self._counts[stream_id] = counts
-            self._length[stream_id] = matrix.length
+            self._counts[stream_id] = cells
+            self._out[stream_id] = out
+            self._length[stream_id] = length
+
+    def fold(self, stream_id: int, window: TimeSeries) -> None:
+        """Fold one window's glitch counts into the stream's state."""
+        cells, out = _glitch_counts(window.values, window.attributes, self.suite)
+        self._add(stream_id, cells, int(out), window.length)
+
+    def fold_chunk(self, stream_ids: Sequence[int], chunk: RowChunk) -> None:
+        """Fold a padded chunk, row ``i`` belonging to ``stream_ids[i]``."""
+        cells, out = _glitch_counts(
+            chunk.values, chunk.attributes, self.suite, chunk.valid
+        )
+        for stream_id, c, o, n in zip(stream_ids, cells, out, chunk.lengths):
+            self._add(stream_id, c, int(o), int(n))
 
     def score(self, stream_id: int) -> float:
         """The stream's length-normalised weighted glitch score so far."""
@@ -643,6 +703,14 @@ class GlitchFold:
             return 0.0
         per_attr_type = self._counts[stream_id] / length
         return float((per_attr_type @ self.weights.as_array()).sum())
+
+    def out_fraction(self, stream_id: int) -> float:
+        """Fraction of the stream's records with an outlier cell (0.0 for a
+        stream with no records)."""
+        length = self._length.get(stream_id, 0)
+        if length == 0:
+            return 0.0
+        return self._out[stream_id] / length
 
     def n_records(self, stream_id: int) -> int:
         """Records annotated for one stream so far."""
@@ -934,7 +1002,6 @@ class IncrementalScorer:
         self.cleanliness = CleanlinessFold(constraints)
         self.suite: Optional[DetectorSuite] = None
         self._glitch: Optional[GlitchFold] = None
-        self._outliers: Optional[CleanlinessFold] = None
         self._arrivals = 0
         self._duplicates = 0
 
@@ -952,18 +1019,22 @@ class IncrementalScorer:
         """Fix the detector suite for live glitch scoring.
 
         Windows journaled before the freeze are backfilled into the glitch
-        fold — counts are order-invariant, so freezing late equals having
-        frozen before the first arrival.
+        fold as padded-block passes: the journal's streams in
+        :data:`CHUNK_SERIES` chunks, each stream's rows
+        (:meth:`WindowJournal.rows`, gaps allowed) one chunk row, one
+        :func:`_glitch_counts` call per chunk. Counts are order-invariant,
+        so freezing late — even mid-ingestion — equals having frozen before
+        the first arrival.
         """
         self.suite = suite
         self._glitch = GlitchFold(suite, self.weights)
-        self._outliers = CleanlinessFold(self.constraints, suite=suite)
-        for stream_id in self.journal.stream_ids():
-            for seq in sorted(self.journal._streams[stream_id]):
-                window = self.journal._streams[stream_id][seq]
-                w_series = self._window_series(window)
-                self._glitch.fold(stream_id, w_series)
-                self._outliers.fold(stream_id, w_series)
+        ids = self.journal.stream_ids()
+        for start in range(0, len(ids), CHUNK_SERIES):
+            chunk_ids = ids[start : start + CHUNK_SERIES]
+            chunk = RowChunk.from_rows(
+                [self.journal.rows(i) for i in chunk_ids], self.journal.attributes
+            )
+            self._glitch.fold_chunk(chunk_ids, chunk)
 
     @staticmethod
     def _window_series(window: StreamWindow) -> TimeSeries:
@@ -981,7 +1052,6 @@ class IncrementalScorer:
             self.cleanliness.fold(sid, w_series)
             if self._glitch is not None:
                 self._glitch.fold(sid, w_series)
-                self._outliers.fold(sid, w_series)
         else:
             self._duplicates += 1
         return WindowDelta(
@@ -992,14 +1062,8 @@ class IncrementalScorer:
             n_records=self.cleanliness.n_records(sid),
             miss_fraction=self.cleanliness.miss_fraction(sid),
             inc_fraction=self.cleanliness.inc_fraction(sid),
-            out_fraction=(
-                self._outliers.out_fraction(sid)
-                if self._outliers is not None
-                else None
-            ),
-            glitch_score=(
-                self._glitch.score(sid) if self._glitch is not None else None
-            ),
+            out_fraction=self.out_fraction(sid),
+            glitch_score=self.glitch_score(sid),
         )
 
     def glitch_score(self, stream_id: int) -> Optional[float]:
@@ -1007,6 +1071,13 @@ class IncrementalScorer:
         if self._glitch is None:
             return None
         return self._glitch.score(stream_id)
+
+    def out_fraction(self, stream_id: int) -> Optional[float]:
+        """The stream's live outlier-record fraction (``None`` before a
+        suite froze)."""
+        if self._glitch is None:
+            return None
+        return self._glitch.out_fraction(stream_id)
 
     # -- identification over the journal ------------------------------------
 

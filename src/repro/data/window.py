@@ -62,29 +62,54 @@ class StreamWindow:
     truth: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.stream_id < 0 or self.seq < 0:
-            raise ValidationError("stream_id and seq must be non-negative")
-        values = np.asarray(self.values, dtype=float)
+        for name in ("stream_id", "seq"):
+            key = getattr(self, name)
+            if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+                raise ValidationError(
+                    f"{name} must be an integer, got {type(key).__name__}"
+                )
+            if key < 0:
+                raise ValidationError("stream_id and seq must be non-negative")
+            object.__setattr__(self, name, int(key))
+        values = _real_array(self.values, "values")
         if values.ndim != 2 or values.shape[1] != len(self.attributes):
             raise ValidationError(
                 f"window values must be (w, {len(self.attributes)}), "
                 f"got shape {values.shape}"
             )
-        if self.truth is not None and self.truth.shape != values.shape:
-            raise ValidationError(
-                f"truth shape {self.truth.shape} does not match values "
-                f"{values.shape}"
-            )
+        object.__setattr__(self, "values", values)
+        if self.truth is not None:
+            truth = _real_array(self.truth, "truth")
+            if truth.shape != values.shape:
+                raise ValidationError(
+                    f"truth shape {truth.shape} does not match values "
+                    f"{values.shape}"
+                )
+            object.__setattr__(self, "truth", truth)
 
     @property
     def width(self) -> int:
         """Number of time steps in this window."""
-        return int(np.asarray(self.values).shape[0])
+        return int(self.values.shape[0])
 
     @property
     def key(self) -> tuple[int, int]:
         """The dedup identity ``(stream_id, seq)``."""
         return (self.stream_id, self.seq)
+
+
+def _real_array(data: object, name: str) -> np.ndarray:
+    """*data* as a float array; anything but real numbers (strings, complex,
+    bools, objects) is a :class:`ValidationError`."""
+    try:
+        array = np.asarray(data)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ValidationError(f"window {name} is not an array: {exc}") from None
+    if array.dtype.kind not in "fiu":
+        raise ValidationError(
+            f"window {name} must be real numbers, got dtype {array.dtype}"
+        )
+    return array.astype(float, copy=False)
 
 
 def cut_series_windows(

@@ -188,17 +188,27 @@ class DetectorSuite:
         outlier detector without an array-level ``detect_values`` falls back
         to series views.
         """
-        values = block.values
+        return BlockGlitches(self.cell_bits(block.values, block.attributes))
+
+    def cell_bits(
+        self, values: np.ndarray, attributes: tuple[str, ...]
+    ) -> np.ndarray:
+        """Glitch bit tensor ``(..., T, v, m)`` of a raw ``(..., T, v)`` tensor.
+
+        One window, one block or one padded chunk: the missing, inconsistent
+        and outlier planes each come from one elementwise pass, so every
+        bit equals the per-series :meth:`annotate` bit of the same cell.
+        """
         bits = np.zeros(values.shape + (N_GLITCH_TYPES,), dtype=bool)
         bits[..., int(GlitchType.MISSING)] = np.isnan(values)
         bits[..., int(GlitchType.INCONSISTENT)] = self.constraints.evaluate_values(
-            values, block.attributes
+            values, attributes
         )
         if self.outlier_detector is not None:
             bits[..., int(GlitchType.OUTLIER)] = self.outlier_cells(
-                values, block.attributes
+                values, attributes
             )
-        return BlockGlitches(bits)
+        return bits
 
     def outlier_cells(
         self, values: np.ndarray, attributes: tuple[str, ...]

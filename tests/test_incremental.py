@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.glitch_index import GlitchWeights, series_glitch_score
 from repro.core.incremental import (
+    CHUNK_SERIES,
     CleanlinessFold,
     DistortionFold,
     GlitchFold,
@@ -23,6 +27,7 @@ from repro.core.incremental import (
 )
 from repro.core.streaming import StreamingExperiment
 from repro.data.dataset import StreamDataset
+from repro.data.slab import SlabFeed
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
 from repro.data.window import StreamWindow
@@ -39,6 +44,8 @@ from repro.glitches.detectors import (
 )
 from repro.glitches.missing import detect_missing
 from repro.glitches.types import GlitchType
+from repro.service import MonitoringSession
+from repro.store.catalog import Catalog, population_recipe_key
 from repro.stats.ecdf import EcdfSketch
 
 import test_streaming
@@ -135,12 +142,164 @@ class TestJournal:
         assert np.array_equal(journal.series(0).truth, truth)
 
 
+    def test_gap_reports_are_bounded(self):
+        """A far-out seq or stream id is reported by count and first gaps,
+        never by materialising the whole missing range."""
+        journal = WindowJournal()
+        journal.offer(StreamWindow(0, 10**12, np.zeros((2, 3)), ATTRS))
+        with pytest.raises(ValidationError, match="window gaps") as err:
+            journal.series(0)
+        assert str(10**12) in str(err.value)
+        assert "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]" in str(err.value)
+        journal.offer(StreamWindow(2**62, 0, np.zeros((2, 3)), ATTRS))
+        with pytest.raises(ValidationError, match="missing streams") as err:
+            journal.assemble()
+        assert "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in str(err.value)
+
+    def test_rows_concatenate_in_seq_order_across_gaps(self):
+        s = _series(7, length=40)
+        journal = WindowJournal()
+        windows = cut_series_windows(s, 0, 8)
+        for w in windows[::-2]:
+            journal.offer(w)
+        expected = np.concatenate([w.values for w in windows[::2]])
+        assert np.array_equal(journal.rows(0), expected, equal_nan=True)
+
+
+class TestStreamWindowValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seq": 1.5},
+            {"seq": float("nan")},
+            {"seq": True},
+            {"stream_id": False},
+            {"stream_id": "0"},
+            {"stream_id": -1},
+            {"seq": np.int64(-3)},
+            {"values": np.full((2, 3), "x")},
+            {"values": np.ones((2, 3), dtype=complex)},
+            {"values": np.ones((2, 3), dtype=bool)},
+            {"values": [[1.0, 2.0, 3.0], [4.0]]},
+            {"values": np.ones((2, 2))},
+            {"truth": [[1.0, 2.0, 3.0]]},
+            {"truth": np.full((2, 3), "x")},
+        ],
+    )
+    def test_malformed_windows_are_validation_errors(self, kwargs):
+        fields = dict(stream_id=0, seq=0, values=np.ones((2, 3)), attributes=ATTRS)
+        fields.update(kwargs)
+        with pytest.raises(ValidationError):
+            StreamWindow(**fields)
+
+    def test_numeric_inputs_are_normalised(self):
+        w = StreamWindow(
+            np.uint8(4),
+            np.int64(2),
+            [[1, 2, 3], [4, 5, 6]],
+            ATTRS,
+            truth=[[1, 2, 3], [4, 5, 6]],
+        )
+        assert type(w.stream_id) is int and type(w.seq) is int
+        assert w.key == (4, 2)
+        assert w.values.dtype == np.float64 and w.truth.dtype == np.float64
+        assert w.width == 2
+
+
+_DTYPES = [
+    np.float64,
+    np.float32,
+    np.int64,
+    np.uint8,
+    np.bool_,
+    np.complex128,
+    np.dtype("<U3"),
+]
+
+
+@st.composite
+def _arbitrary_windows(draw):
+    """A StreamWindow's constructor arguments, well formed or not."""
+    stream_id = draw(
+        st.one_of(
+            st.integers(-1, 4),
+            st.integers(0, 3).map(np.int32),
+            st.booleans(),
+            st.floats(allow_nan=True),
+        )
+    )
+    seq = draw(
+        st.one_of(
+            st.integers(-1, 6),
+            st.integers(2**32, 2**62),
+            st.booleans(),
+            st.sampled_from([1.5, float("nan"), 2.0]),
+        )
+    )
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(0, 5), st.just(len(ATTRS))),
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        )
+    )
+    dtype = draw(st.sampled_from(_DTYPES))
+    values = draw(hnp.arrays(dtype, shape))
+    if draw(st.booleans()):
+        values = values.tolist()
+    truth_shape = draw(
+        st.one_of(
+            st.none(),
+            st.just(np.shape(values)),
+            hnp.array_shapes(max_dims=3, min_side=0, max_side=3),
+        )
+    )
+    truth = None
+    if truth_shape is not None:
+        truth = draw(hnp.arrays(draw(st.sampled_from(_DTYPES)), truth_shape))
+    if truth is not None and draw(st.booleans()):
+        truth = truth.tolist()
+    return dict(
+        stream_id=stream_id, seq=seq, values=values, attributes=ATTRS, truth=truth
+    )
+
+
+class TestJournalFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_arbitrary_windows(), max_size=8))
+    def test_edge_is_validation_errors_only(self, specs):
+        """Every malformed window is refused with ValidationError at
+        construction; every accepted sequence folds, reassembles (or is
+        refused with ValidationError) and backfills a frozen suite."""
+        windows = []
+        for spec in specs:
+            try:
+                windows.append(StreamWindow(**spec))
+            except ValidationError:
+                pass
+        scorer = IncrementalScorer(paper_constraints())
+        for w in windows:
+            scorer.fold(w)
+        for sid in scorer.journal.stream_ids():
+            try:
+                scorer.journal.series(sid)
+            except ValidationError:
+                pass
+        try:
+            scorer.journal.assemble()
+        except ValidationError:
+            pass
+        scorer.freeze_suite(_suite())
+        for sid in scorer.journal.stream_ids():
+            rows = scorer.journal.rows(sid)
+            assert rows.shape == (scorer.cleanliness.n_records(sid), len(ATTRS))
+            assert 0.0 <= scorer.out_fraction(sid) <= 1.0
+
+
 class TestCleanlinessFold:
     @pytest.mark.parametrize("width", [1, 7, 16, 200])
     def test_fractions_bitwise_match_batch_mean(self, width):
         constraints = paper_constraints()
-        suite = _suite()
-        fold = CleanlinessFold(constraints, suite=suite)
+        fold = CleanlinessFold(constraints)
         series_list = [_series(i) for i in range(4)]
         for w in _shuffled_windows(series_list, width, seed=9):
             fold.fold(
@@ -152,9 +311,6 @@ class TestCleanlinessFold:
             )
             assert fold.inc_fraction(i) == float(
                 constraints.evaluate(s).any(axis=1).mean()
-            )
-            assert fold.out_fraction(i) == suite.annotate(s).record_fraction(
-                GlitchType.OUTLIER
             )
 
 
@@ -172,6 +328,20 @@ class TestGlitchFold:
         for i, s in enumerate(series_list):
             assert fold.score(i) == series_glitch_score(
                 suite.annotate(s), weights
+            )
+
+    @pytest.mark.parametrize("width", [1, 7, 16, 200])
+    def test_out_fraction_bitwise_matches_record_fraction(self, width):
+        suite = _suite()
+        fold = GlitchFold(suite)
+        series_list = [_series(i) for i in range(4)]
+        for w in _shuffled_windows(series_list, width, seed=9):
+            fold.fold(
+                w.stream_id, TimeSeries(w.node, w.values, w.attributes)
+            )
+        for i, s in enumerate(series_list):
+            assert fold.out_fraction(i) == suite.annotate(s).record_fraction(
+                GlitchType.OUTLIER
             )
 
 
@@ -297,6 +467,109 @@ class TestIncrementalScorer:
 
         for i in range(len(series_list)):
             assert early.glitch_score(i) == late.glitch_score(i)
+
+    @pytest.mark.parametrize("freeze", ["gapped", "prefix", "end"])
+    def test_chunked_backfill_equals_early_freeze(self, freeze):
+        """The backfill packs the journal into CHUNK_SERIES-stream chunks;
+        crossing a chunk boundary, ragged and zero-length streams, and a
+        freeze while streams still have seq gaps all leave every stream's
+        score and outlier rate where a freeze before the first arrival
+        puts them."""
+        n = CHUNK_SERIES + 5
+        series_list = [
+            _series(i, length=(i * 7) % 29, n_nan=0, n_neg=0)
+            if i % 3 == 0
+            else _series(i, length=5 + (i * 7) % 29)
+            for i in range(n)
+        ]
+        assert series_list[0].length == 0
+        suite = _suite()
+        windows = _shuffled_windows(series_list, 4, seed=6)
+        if freeze == "gapped":  # every stream journaled, most missing seq 1
+            before = [w for w in windows if w.seq != 1]
+            after = [w for w in windows if w.seq == 1]
+        elif freeze == "prefix":
+            before, after = windows[: len(windows) // 2], windows[len(windows) // 2 :]
+        else:
+            before, after = windows, []
+
+        early = IncrementalScorer(paper_constraints())
+        early.freeze_suite(suite)
+        late = IncrementalScorer(paper_constraints())
+        for w in before:
+            early.fold(w)
+            late.fold(w)
+        late.freeze_suite(suite)  # backfills the journal, gaps and all
+
+        def state(scorer):
+            return [
+                (scorer.glitch_score(i), scorer.out_fraction(i))
+                for i in range(n)
+            ]
+
+        if after:
+            gapped = 0
+            for i in late.journal.stream_ids():
+                try:
+                    late.journal.series(i)
+                except ValidationError:
+                    gapped += 1
+            assert gapped > 0
+        if freeze == "gapped":
+            assert late.journal.n_streams == n
+        assert state(late) == state(early)
+        for w in after:
+            assert late.fold(w) == early.fold(w)
+        assert state(late) == state(early)
+        for i, s in enumerate(series_list):
+            if s.length:
+                matrix = suite.annotate(s)
+                assert late.glitch_score(i) == series_glitch_score(matrix)
+                assert late.out_fraction(i) == matrix.record_fraction(
+                    GlitchType.OUTLIER
+                )
+
+    def test_identify_makes_no_per_window_annotate_calls(
+        self, monkeypatch, tmp_path
+    ):
+        """Identification and the suite freeze are padded-block passes:
+        neither the fixed point nor the journal backfill annotates a window
+        or a series one at a time, on a catalog miss or a catalog hit."""
+        feed = SlabFeed(SCALES["tiny"].generator, None, seed=0)
+        try:
+            windows = list(feed.iter_stream_windows(width=16))
+        finally:
+            feed.cleanup()
+        calls = []
+        annotate = DetectorSuite.annotate
+
+        def counted(self, series):
+            calls.append(series)
+            return annotate(self, series)
+
+        monkeypatch.setattr(DetectorSuite, "annotate", counted)
+        scorer = IncrementalScorer(paper_constraints())
+        for w in windows:
+            scorer.fold(w)
+        scorer.identify()
+        assert calls == []
+
+        pop_key = population_recipe_key(SCALES["tiny"].generator, None, 0)
+        catalog = Catalog(tmp_path / "catalog.sqlite")
+        try:
+            sessions = []
+            for name in ("miss", "hit"):
+                session = MonitoringSession(
+                    name=name, population_key=pop_key, catalog=catalog
+                )
+                session.ingest_all(windows)
+                session.identify()
+                sessions.append(session)
+        finally:
+            catalog.close()
+        assert [s.frame_hits for s in sessions] == [0, 1]
+        assert sessions[1].scorer.glitch_score(0) == scorer.glitch_score(0)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "kwargs, message",
