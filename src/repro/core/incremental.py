@@ -50,6 +50,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.data.block import CHUNK_SERIES
 from repro.data.stream import TimeSeries
 from repro.data.window import StreamWindow, cut_series_windows
 from repro.distance.base import Distance
@@ -96,10 +97,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # The row-verdict kernel: padded-block passes shared by every engine
 # ---------------------------------------------------------------------------
-
-#: Series per padded chunk. Bounds every pass's temporaries at a few MB
-#: (512 x 170 x 3 float64 is 2 MB) whatever the population size.
-CHUNK_SERIES = 512
 
 
 def count_rows(cells: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:

@@ -31,7 +31,13 @@ import numpy as np
 from repro.data.topology import NodeId
 from repro.errors import DataShapeError, ValidationError
 
-__all__ = ["SampleBlock", "block_fast_path_enabled"]
+__all__ = ["CHUNK_SERIES", "SampleBlock", "block_fast_path_enabled"]
+
+#: Series per padded chunk, the unit of every per-series block pass: the
+#: population build computes and the identification passes score one
+#: ``(n, T, v)`` chunk at a time. Bounds each pass's temporaries at a few MB
+#: (512 x 170 x 3 float64 is 2 MB) whatever the population size.
+CHUNK_SERIES = 512
 
 
 def block_fast_path_enabled() -> bool:

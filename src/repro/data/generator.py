@@ -20,20 +20,32 @@ statistical structure every downstream experiment relies on:
 
 The generator produces *clean* truth; glitches are layered on by
 :class:`repro.data.glitch_injection.GlitchInjector`.
+
+Every series is a function of the config and its own pre-spawned random
+stream. The kernel (:func:`generate_shard`) nonetheless works column-wise:
+a shard is cut into chunks of at most
+:data:`~repro.data.block.CHUNK_SERIES` series whose streams are drawn in
+lockstep, one draw site at a time in the stream's fixed order, and every
+transform (``sin``, ``exp``, the surge scaling, the ``clip``, the stack)
+runs once on the chunk's padded ``(n, T)`` block. A series' ``values`` and
+``truth`` are ``[i, :T_i]`` row views of the chunk's value array and of its
+separate copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.data.block import CHUNK_SERIES
 from repro.data.dataset import StreamDataset
 from repro.data.stream import DEFAULT_ATTRIBUTES, TimeSeries
 from repro.data.topology import NetworkTopology, NodeId
 from repro.errors import ValidationError
-from repro.utils.rng import Seed, as_generator
+from repro.utils.rng import Seed, as_generator, draw_rows, draw_sized
+from repro.utils.validation import check_finite, check_positive_int, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> cleaning -> data)
     from repro.core.pipeline import Pipeline, ShardSpec, ShardedStage
@@ -107,14 +119,39 @@ class GeneratorConfig:
     attr3_load_coupling: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.series_length < 1:
-            raise ValidationError("series_length must be >= 1")
-        if not 1 <= self.min_length <= self.series_length:
+        for name in (
+            "n_rnc",
+            "towers_per_rnc",
+            "sectors_per_tower",
+            "series_length",
+            "min_length",
+            "diurnal_period",
+        ):
+            check_positive_int(getattr(self, name), name)
+        if self.min_length > self.series_length:
             raise ValidationError(
                 "min_length must satisfy 1 <= min_length <= series_length"
             )
-        if self.diurnal_period < 1:
-            raise ValidationError("diurnal_period must be >= 1")
+        for name in (
+            "attr1_log_mean",
+            "attr1_node_sd",
+            "attr1_innovation_shape",
+            "attr1_innovation_scale",
+            "attr2_log_mean",
+            "attr2_coupling",
+            "attr2_noise_sd",
+            "attr3_deficit_shape",
+            "attr3_deficit_scale",
+            "attr3_load_coupling",
+        ):
+            check_finite(getattr(self, name), name)
+        for rng_name in (
+            "attr1_diurnal_amp_range",
+            "attr1_surge_range",
+            "attr2_surge_range",
+        ):
+            for end in getattr(self, rng_name):
+                check_finite(end, rng_name)
         lo, hi = self.attr1_diurnal_amp_range
         if lo < 0 or hi < lo:
             raise ValidationError("attr1_diurnal_amp_range must be 0 <= lo <= hi")
@@ -128,8 +165,7 @@ class GeneratorConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if not 0.0 <= self.surge_prob <= 1.0:
-            raise ValidationError("surge_prob must lie in [0, 1]")
+        check_probability(self.surge_prob, "surge_prob")
         for rng_name in ("attr1_surge_range", "attr2_surge_range"):
             lo_s, hi_s = getattr(self, rng_name)
             if not (1.0 <= lo_s <= hi_s):
@@ -156,24 +192,19 @@ class GenerationShard:
 
 
 def generate_shard(unit: GenerationShard) -> list[TimeSeries]:
-    """Generate the clean series of one :class:`GenerationShard`."""
-    return [
-        _node_series(unit.config, node, np.random.default_rng(seq))
-        for node, seq in zip(unit.nodes, unit.shard.seeds)
-    ]
+    """Generate the clean series of one :class:`GenerationShard`.
 
-
-def _node_series(
-    cfg: GeneratorConfig, node: NodeId, rng: np.random.Generator
-) -> TimeSeries:
-    """One node's clean series from its own random stream."""
-    length = (
-        cfg.series_length
-        if cfg.min_length == cfg.series_length
-        else int(rng.integers(cfg.min_length, cfg.series_length + 1))
-    )
-    values = _node_values(cfg, rng, length)
-    return TimeSeries(node, values, DEFAULT_ATTRIBUTES, truth=values.copy())
+    The shard runs as consecutive chunks of at most
+    :data:`~repro.data.block.CHUNK_SERIES` series (:func:`_generate_chunk`);
+    each series is a row view of its chunk's arrays.
+    """
+    out: list[TimeSeries] = []
+    for lo in range(0, len(unit.nodes), CHUNK_SERIES):
+        hi = lo + CHUNK_SERIES
+        out.extend(
+            _generate_chunk(unit.config, unit.nodes[lo:hi], unit.shard.seeds[lo:hi])
+        )
+    return out
 
 
 class NetworkDataGenerator:
@@ -245,19 +276,47 @@ class NetworkDataGenerator:
 # -- internals -------------------------------------------------------------------
 
 
-def _node_values(cfg: GeneratorConfig, rng: np.random.Generator, length: int) -> np.ndarray:
-    t = np.arange(length)
+def _generate_chunk(
+    cfg: GeneratorConfig,
+    nodes: Sequence[NodeId],
+    seeds: Sequence[np.random.SeedSequence],
+) -> list[TimeSeries]:
+    """The clean series of one chunk, each from its own stream.
+
+    Every series draws in lockstep (:func:`~repro.utils.rng.draw_rows`,
+    :func:`~repro.utils.rng.draw_sized`) in its stream's fixed order, and
+    every transform runs once on the chunk's padded ``(n, T)`` block, so
+    each series is bitwise what it would be generated alone.
+    ``Generator.gamma`` and ``Generator.normal`` scale one standard draw by
+    one multiplication, which the block replays.
+    """
+    rngs = [np.random.default_rng(seq) for seq in seeds]
+    n, width = len(rngs), cfg.series_length
+    if cfg.min_length == cfg.series_length:
+        lengths = [width] * n
+    else:
+        lengths = [
+            int(rng.integers(cfg.min_length, cfg.series_length + 1)) for rng in rngs
+        ]
+    t = np.arange(width)
+
+    def rows(draw=None, fill: float = 0.0) -> np.ndarray:
+        return draw_rows(rngs, lengths, np.full((n, width), fill), draw)
 
     # Log-scale signal Z for attribute 1: node effect + diurnal cycle +
     # left-skewed innovation. exp(Z) is then heavily right-skewed while
     # log(attr1) = Z is left-skewed, which is what flips the Winsorized
     # tail under the log transform (Section 5.3).
-    node_mu = cfg.attr1_log_mean + rng.normal(0.0, cfg.attr1_node_sd)
-    amp = rng.uniform(*cfg.attr1_diurnal_amp_range)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
+    node_mu = cfg.attr1_log_mean + np.array(
+        [[rng.normal(0.0, cfg.attr1_node_sd)] for rng in rngs]
+    )
+    amp = np.array([[rng.uniform(*cfg.attr1_diurnal_amp_range)] for rng in rngs])
+    phase = np.array([[rng.uniform(0.0, 2.0 * np.pi)] for rng in rngs])
     diurnal = amp * np.sin(2.0 * np.pi * t / cfg.diurnal_period + phase)
     shape, scale = cfg.attr1_innovation_shape, cfg.attr1_innovation_scale
-    innovation = shape * scale - rng.gamma(shape, scale, size=length)
+    innovation = shape * scale - scale * rows(
+        lambda rng, row: rng.standard_gamma(shape, out=row)
+    )
     z = node_mu + diurnal + innovation
     attr1 = np.exp(z)
 
@@ -265,19 +324,30 @@ def _node_values(cfg: GeneratorConfig, rng: np.random.Generator, length: int) ->
     attr2 = np.exp(
         cfg.attr2_log_mean
         + cfg.attr2_coupling * (z - cfg.attr1_log_mean)
-        + rng.normal(0.0, cfg.attr2_noise_sd, size=length)
+        + cfg.attr2_noise_sd * rows(lambda rng, row: rng.standard_normal(out=row))
     )
 
     # Legitimate usage surges hit attributes 1 and 2 together.
-    surge = rng.random(length) < cfg.surge_prob
-    n_surge = int(surge.sum())
-    if n_surge:
-        attr1[surge] *= rng.uniform(*cfg.attr1_surge_range, size=n_surge)
-        attr2[surge] *= rng.uniform(*cfg.attr2_surge_range, size=n_surge)
+    surge = rows(fill=1.0) < cfg.surge_prob
+    n_surge = np.count_nonzero(surge, axis=1)
+    for attr, (lo, hi) in (
+        (attr1, cfg.attr1_surge_range),
+        (attr2, cfg.attr2_surge_range),
+    ):
+        attr[surge] *= draw_sized(
+            rngs, n_surge, lambda rng, k: rng.uniform(lo, hi, k)
+        )
 
     # Attribute 3: a ratio hugging 1 with a left tail; load pushes it down.
-    deficit = rng.gamma(cfg.attr3_deficit_shape, cfg.attr3_deficit_scale, size=length)
+    deficit = cfg.attr3_deficit_scale * rows(
+        lambda rng, row: rng.standard_gamma(cfg.attr3_deficit_shape, out=row)
+    )
     load_term = cfg.attr3_load_coupling * np.maximum(z - node_mu, 0.0)
     attr3 = np.clip(1.0 - deficit - load_term, 0.0, 1.0)
 
-    return np.column_stack([attr1, attr2, attr3])
+    values = np.stack([attr1, attr2, attr3], axis=-1)
+    truth = values.copy()
+    return [
+        TimeSeries(node, values[i, :length], DEFAULT_ATTRIBUTES, truth=truth[i, :length])
+        for i, (node, length) in enumerate(zip(nodes, lengths))
+    ]

@@ -20,21 +20,42 @@ documented knobs. Injection is *truth-preserving*: each dirty series keeps the
 pre-glitch values in ``TimeSeries.truth`` and the injector returns per-series
 masks of exactly what it did, enabling detector-accuracy tests and oracle
 ("re-measure") cleaning strategies.
+
+Every series is glitched from its own pre-spawned random stream, but the
+kernel (:func:`inject_shard`) works column-wise: a shard is cut into chunks
+of at most :data:`~repro.data.block.CHUNK_SERIES` series whose streams are
+drawn in lockstep, one draw site at a time in the stream's fixed order
+(burst masks stay one :func:`_burst_mask` call per series), while the
+intensity arithmetic, every mask and count, and every value edit run once
+on the chunk's padded ``(n, T, v)`` block. A dirty series' ``values`` and
+each ledger mask are ``[i, :T_i]`` row views of the chunk's arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.data.block import CHUNK_SERIES
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
 from repro.errors import ValidationError
-from repro.utils.rng import Seed, as_generator, spawn_sequences
-from repro.utils.validation import check_probability
+from repro.utils.rng import (
+    Seed,
+    as_generator,
+    draw_rows,
+    draw_sized,
+    spawn_sequences,
+)
+from repro.utils.validation import (
+    check_finite,
+    check_int,
+    check_positive_int,
+    check_probability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> cleaning -> data)
     from repro.core.pipeline import Pipeline, ShardSpec, ShardedStage
@@ -156,12 +177,13 @@ class GlitchInjectionConfig:
             "event_anomaly_boost",
         ):
             check_probability(getattr(self, name), name)
-        if self.intensity_sigma < 0:
+        if check_finite(self.intensity_sigma, "intensity_sigma") < 0:
             raise ValidationError("intensity_sigma must be >= 0")
-        if self.n_events < 0:
-            raise ValidationError("n_events must be >= 0")
+        check_int(self.n_events, "n_events")
         lo, hi = self.event_length_range
-        if not (1 <= lo <= hi):
+        for end in (lo, hi):
+            check_positive_int(end, "event_length_range")
+        if lo > hi:
             raise ValidationError("event_length_range must satisfy 1 <= lo <= hi")
         for rng_name in (
             "spike_factor_range",
@@ -171,6 +193,8 @@ class GlitchInjectionConfig:
             "attr3_crash_range",
         ):
             lo_f, hi_f = getattr(self, rng_name)
+            for end in (lo_f, hi_f):
+                check_finite(end, rng_name)
             if not (0 <= lo_f <= hi_f):
                 raise ValidationError(f"{rng_name} must satisfy 0 <= lo <= hi")
 
@@ -255,33 +279,22 @@ class InjectionShard:
 
 
 def inject_shard(unit: InjectionShard) -> list[tuple[TimeSeries, SeriesInjection]]:
-    """Glitch the series of one :class:`InjectionShard`."""
-    return [
-        _inject_one(unit.config, series, np.random.default_rng(seq), unit.events)
-        for series, seq in zip(unit.series, unit.shard.seeds)
-    ]
+    """Glitch the series of one :class:`InjectionShard`.
 
-
-def _inject_one(
-    cfg: GlitchInjectionConfig,
-    series: TimeSeries,
-    rng: np.random.Generator,
-    events: np.ndarray,
-) -> tuple[TimeSeries, SeriesInjection]:
-    """Glitch one series from its own random stream."""
-    glitchy = bool(rng.random() < cfg.glitchy_fraction)
-    # Mean-one log-normal multiplier: heterogeneity across series without
-    # shifting the population glitch rates.
-    scale = (
-        float(
-            np.exp(
-                rng.normal(0.0, cfg.intensity_sigma) - 0.5 * cfg.intensity_sigma**2
+    The shard runs as consecutive chunks of at most
+    :data:`~repro.data.block.CHUNK_SERIES` series (:func:`_inject_chunk`);
+    each dirty series and each ledger mask is a row view of its chunk's
+    arrays, and each dirty series keeps its clean series' ``truth``.
+    """
+    out: list[tuple[TimeSeries, SeriesInjection]] = []
+    for lo in range(0, len(unit.series), CHUNK_SERIES):
+        hi = lo + CHUNK_SERIES
+        out.extend(
+            _inject_chunk(
+                unit.config, unit.series[lo:hi], unit.shard.seeds[lo:hi], unit.events
             )
         )
-        if glitchy
-        else cfg.healthy_scale
-    )
-    return _inject_series(cfg, rng, series, scale, glitchy, events)
+    return out
 
 
 class GlitchInjector:
@@ -368,106 +381,149 @@ def _event_windows(
     return mask
 
 
-def _inject_series(
+def _inject_chunk(
     cfg: GlitchInjectionConfig,
-    rng: np.random.Generator,
-    series: TimeSeries,
-    scale: float,
-    glitchy: bool,
+    series: Sequence[TimeSeries],
+    seeds: Sequence[np.random.SeedSequence],
     events: np.ndarray,
-) -> tuple[TimeSeries, SeriesInjection]:
-    values = series.values.copy()
-    length, v = values.shape
-    event_here = events[:length]
-    sp = lambda p: min(1.0, p * scale)  # noqa: E731 - scaled probability
-    count = np.count_nonzero
+) -> list[tuple[TimeSeries, SeriesInjection]]:
+    """Glitch one chunk of series, each from its own stream.
 
-    anomaly_mask = np.zeros((length, v), dtype=bool)
-    corruption_mask = np.zeros((length, v), dtype=bool)
-    missing_mask = np.zeros((length, v), dtype=bool)
-    # attr1, attr2, attr3 column views: every write lands in the (T, v) arrays.
-    x1, x2, x3 = values[:, 0], values[:, 1], values[:, 2]
-    anomaly1, anomaly2, anomaly3 = (anomaly_mask[:, j] for j in range(3))
+    Every series draws in lockstep (:func:`~repro.utils.rng.draw_rows`,
+    :func:`~repro.utils.rng.draw_sized`, :func:`_burst_mask` per row) in its
+    stream's fixed order, and every mask, count and value edit runs once on
+    the chunk's padded ``(n, T, v)`` block in the order a one-series kernel
+    applies it, so each series is glitched bitwise as it would be alone.
+    Draw buffers start at ``1.0``, which no ``u < p`` test passes, so the
+    padding past each series' length never enters a mask.
+    """
+    rngs = [np.random.default_rng(seq) for seq in seeds]
+    n = len(rngs)
+    lengths = [s.length for s in series]
+    width = max(lengths, default=0)
+    v = series[0].n_attributes
+    count = lambda mask: np.count_nonzero(mask, axis=1)  # noqa: E731
+    rows = lambda: draw_rows(rngs, lengths, np.ones((n, width)))  # noqa: E731
+
+    def uniform(mask: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """``uniform(lo, hi)`` per flagged cell, in row-major mask order."""
+        return draw_sized(rngs, count(mask), lambda rng, k: rng.uniform(lo, hi, k))
+
+    def bursts(p_enter: np.ndarray, p_exit: float) -> np.ndarray:
+        mask = np.zeros((n, width), dtype=bool)
+        for rng, row, length, p in zip(rngs, mask, lengths, p_enter[:, 0].tolist()):
+            row[:length] = _burst_mask(rng, length, p, p_exit)
+        return mask
+
+    # Mean-one log-normal multiplier: heterogeneity across series without
+    # shifting the population glitch rates.
+    glitchy = np.array([rng.random() for rng in rngs]) < cfg.glitchy_fraction
+    draws = np.zeros(n)
+    for i in np.flatnonzero(glitchy).tolist():
+        draws[i] = rngs[i].normal(0.0, cfg.intensity_sigma)
+    scale = np.where(
+        glitchy, np.exp(draws - 0.5 * cfg.intensity_sigma**2), cfg.healthy_scale
+    )
+    sp = lambda p: np.minimum(1.0, p * scale)[:, None]  # noqa: E731 - scaled probability
+    event_here = events[:width]
+
+    values = np.zeros((n, width, v))
+    for row, s in zip(values, series):
+        row[: s.length] = s.values
+    anomaly_mask = np.zeros((n, width, v), dtype=bool)
+    corruption_mask = np.zeros((n, width, v), dtype=bool)
+    missing_mask = np.zeros((n, width, v), dtype=bool)
+    # attr1, attr2, attr3 column views: every write lands in the blocks.
+    x1, x2, x3 = values[..., 0], values[..., 1], values[..., 2]
+    anomaly1, anomaly2, anomaly3 = (anomaly_mask[..., j] for j in range(3))
 
     # 1. anomalies (spikes/dips) -- corrupt values, detection comes later.
-    burst = _burst_mask(rng, length, sp(cfg.anomaly_enter), cfg.anomaly_exit)
-    burst |= event_here & (rng.random(length) < sp(cfg.event_anomaly_boost))
-    idx = np.flatnonzero(burst)
+    burst = bursts(sp(cfg.anomaly_enter), cfg.anomaly_exit)
+    burst |= event_here & (rows() < sp(cfg.event_anomaly_boost))
+    at = np.nonzero(burst)
     # Each maximal burst run gets its own dip/spike decision so consecutive
     # records share a regime, as real equipment faults do. Draw order: one
     # regime draw per run, then per burst record a (factor, attr2-coupling)
     # pair; each factor is lo + (hi - lo) * u, exactly Generator.uniform.
     run_start = burst.copy()
-    run_start[1:] &= ~burst[:-1]
-    run = np.cumsum(run_start)[idx] - 1
-    dip = (rng.random(count(run_start)) < cfg.dip_share)[run]
-    u = rng.random(2 * idx.size)
+    run_start[:, 1:] &= ~burst[:, :-1]
+    run = np.cumsum(run_start)[np.flatnonzero(burst)] - 1
+    regime = draw_sized(rngs, count(run_start), lambda rng, k: rng.random(k))
+    dip = (regime < cfg.dip_share)[run]
+    u = draw_sized(rngs, 2 * count(burst), lambda rng, k: rng.random(k))
     dip_lo, dip_hi = cfg.dip_factor_range
     spike_lo, spike_hi = cfg.spike_factor_range
     lo = np.where(dip, float(dip_lo), float(spike_lo))
     hi = np.where(dip, float(dip_hi), float(spike_hi))
     factor = lo + (hi - lo) * u[0::2]
-    x1[idx] *= factor
-    anomaly1[idx] = True
+    x1[at] *= factor
+    anomaly1[at] = True
     coupled = u[1::2] < cfg.attr2_coupling
-    x2[idx[coupled]] *= factor[coupled]
-    anomaly2[idx[coupled]] = True
+    at = (at[0][coupled], at[1][coupled])
+    x2[at] *= factor[coupled]
+    anomaly2[at] = True
 
-    crash = rng.random(length) < sp(cfg.attr3_crash)
-    x3[crash] = rng.uniform(*cfg.attr3_crash_range, size=count(crash))
+    crash = rows() < sp(cfg.attr3_crash)
+    x3[crash] = uniform(crash, *cfg.attr3_crash_range)
     anomaly3 |= crash
 
     # 2. inconsistencies -- constraint-violating values.
-    neg = rng.random(length) < sp(cfg.negative_attr1)
-    x1[neg] = -np.abs(x1[neg]) * rng.uniform(0.05, 0.5, size=count(neg))
-    corruption_mask[:, 0] = neg
+    neg = rows() < sp(cfg.negative_attr1)
+    x1[neg] = -np.abs(x1[neg]) * uniform(neg, 0.05, 0.5)
+    corruption_mask[..., 0] = neg
 
-    oor = rng.random(length) < sp(cfg.attr3_out_of_range)
-    above = rng.random(length) < cfg.attr3_above_one_share
+    oor = rows() < sp(cfg.attr3_out_of_range)
+    above = rows() < cfg.attr3_above_one_share
     hi_mask = oor & above
     lo_mask = oor & ~above
-    x3[hi_mask] = 1.0 + rng.uniform(0.01, 0.08, size=count(hi_mask))
-    x3[lo_mask] = -rng.uniform(0.01, 0.2, size=count(lo_mask))
-    corruption_mask[:, 2] = oor
+    x3[hi_mask] = 1.0 + uniform(hi_mask, 0.01, 0.08)
+    x3[lo_mask] = -uniform(lo_mask, 0.01, 0.2)
+    corruption_mask[..., 2] = oor
 
     # 3. missing values -- outage bursts on attr3, partial loss of attr1/2.
-    outage = _burst_mask(rng, length, sp(cfg.outage_enter), cfg.outage_exit)
-    outage |= event_here & (rng.random(length) < sp(cfg.event_outage_boost))
+    outage = bursts(sp(cfg.outage_enter), cfg.outage_exit)
+    outage |= event_here & (rows() < sp(cfg.event_outage_boost))
     # Counter faults: a slice of outage records loses attr1/attr2 instead
     # of attr3, whose surviving value is a crashed ratio.
-    counter_fault = outage & (rng.random(length) < cfg.outage_ratio_crash)
+    counter_fault = outage & (rows() < cfg.outage_ratio_crash)
     ratio_outage = outage & ~counter_fault
-    lost1 = ratio_outage & (rng.random(length) < cfg.attr1_loss_in_outage)
-    lost2 = ratio_outage & (rng.random(length) < cfg.attr2_loss_in_outage)
+    lost1 = ratio_outage & (rows() < cfg.attr1_loss_in_outage)
+    lost2 = ratio_outage & (rows() < cfg.attr2_loss_in_outage)
     lost1 |= counter_fault
     lost2 |= counter_fault
-    missing_mask[:, 0] = lost1
-    missing_mask[:, 1] = lost2
-    missing_mask[:, 2] = ratio_outage
-    x3[counter_fault] = rng.uniform(*cfg.ratio_crash_range, size=count(counter_fault))
+    missing_mask[..., 0] = lost1
+    missing_mask[..., 1] = lost2
+    missing_mask[..., 2] = ratio_outage
+    x3[counter_fault] = uniform(counter_fault, *cfg.ratio_crash_range)
     anomaly3 |= counter_fault
     # Co-occurring stress: surviving attr1/attr2 values inside an outage
     # record are often extreme (the fault that caused the outage). These
     # records are incomplete, so the stress never reaches the pooled
     # complete-row distribution — but it does reach the MVN imputer.
     # One draw per record: the same fault stresses every surviving cell.
-    stress_record = ratio_outage & (rng.random(length) < cfg.outage_stress)
+    stress_record = ratio_outage & (rows() < cfg.outage_stress)
     stressed1 = stress_record & ~lost1
     stressed2 = stress_record & ~lost2
-    x1[stressed1] *= rng.uniform(*cfg.stress_factor_range, size=count(stressed1))
-    x2[stressed2] *= rng.uniform(*cfg.stress_factor_range, size=count(stressed2))
+    x1[stressed1] *= uniform(stressed1, *cfg.stress_factor_range)
+    x2[stressed2] *= uniform(stressed2, *cfg.stress_factor_range)
     anomaly1 |= stressed1
     anomaly2 |= stressed2
-    isolated = rng.random((length, v)) < sp(cfg.isolated_missing)
-    missing_mask |= isolated
+    isolated = draw_rows(rngs, lengths, np.ones((n, width, v)))
+    missing_mask |= isolated < sp(cfg.isolated_missing)[:, None]
     values[missing_mask] = np.nan
+    corruption_mask &= ~missing_mask
+    anomaly_mask &= ~missing_mask
 
-    dirty = TimeSeries(series.node, values, series.attributes, truth=series.truth)
-    record = SeriesInjection(
-        node=series.node,
-        glitchy=glitchy,
-        missing_mask=missing_mask,
-        corruption_mask=corruption_mask & ~missing_mask,
-        anomaly_mask=anomaly_mask & ~missing_mask,
-    )
-    return dirty, record
+    return [
+        (
+            TimeSeries(s.node, values[i, :length], s.attributes, truth=s.truth),
+            SeriesInjection(
+                node=s.node,
+                glitchy=bool(glitchy[i]),
+                missing_mask=missing_mask[i, :length],
+                corruption_mask=corruption_mask[i, :length],
+                anomaly_mask=anomaly_mask[i, :length],
+            ),
+        )
+        for i, (s, length) in enumerate(zip(series, lengths))
+    ]

@@ -8,7 +8,7 @@ simple and deterministic experiments stay deterministic.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +20,8 @@ __all__ = [
     "snapshot_seed",
     "spawn_sequences",
     "spawn_generators",
+    "draw_rows",
+    "draw_sized",
 ]
 
 
@@ -81,3 +83,49 @@ def spawn_generators(seed: Seed, n: int) -> list[np.random.Generator]:
     stream regardless of how many replications run or in what order.
     """
     return [np.random.default_rng(child) for child in spawn_sequences(seed, n)]
+
+
+# -- lockstep draws ----------------------------------------------------------------
+#
+# A chunk of series, each with its own generator, is drawn one *draw site*
+# at a time: one pass over the chunk's generators per site, in the order the
+# one-series-at-a-time code made its calls. Interleaving calls to different
+# generators never changes any one generator's sequence, so each series
+# consumes exactly the stream it would alone, while the arithmetic between
+# sites runs once on the chunk's padded ``(n, T, ...)`` block.
+
+
+def draw_rows(
+    rngs: Sequence[np.random.Generator],
+    lengths: Sequence[int],
+    out: np.ndarray,
+    draw: Optional[Callable[[np.random.Generator, np.ndarray], object]] = None,
+) -> np.ndarray:
+    """A fixed-size draw site: ``draw(rngs[i], out[i, :lengths[i]])`` for
+    every series, in order, writing straight into its row; returns *out*.
+    The default *draw* is ``rng.random(out=row)``, i.e. uniform ``[0, 1)``.
+
+    Padding past each length keeps *out*'s initial fill, so a buffer filled
+    with ``1.0`` never passes a ``u < p`` test for a probability ``p``.
+    """
+    draw = draw or (lambda rng, row: rng.random(out=row))
+    for rng, row, length in zip(rngs, out, lengths):
+        draw(rng, row[:length])
+    return out
+
+
+def draw_sized(
+    rngs: Sequence[np.random.Generator],
+    counts: np.ndarray,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+) -> np.ndarray:
+    """A sized draw site: ``draw(rngs[i], counts[i])`` for every series with
+    a non-zero count, concatenated in series order.
+
+    With *counts* the per-row counts of an ``(n, T)`` mask, the result lines
+    up with the mask's flagged cells in row-major order (series, then
+    time) — the order one-series-at-a-time code consumed them in. A
+    zero-size draw consumes nothing, so skipping it changes no stream.
+    """
+    parts = [draw(rng, c) for rng, c in zip(rngs, counts.tolist()) if c]
+    return np.concatenate(parts) if parts else np.empty(0)

@@ -7,6 +7,7 @@ of deep inside numpy broadcasting.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 import numpy as np
@@ -14,7 +15,9 @@ import numpy as np
 from repro.errors import ValidationError
 
 __all__ = [
+    "check_int",
     "check_positive_int",
+    "check_finite",
     "check_fraction",
     "check_probability",
     "ensure_1d",
@@ -22,13 +25,30 @@ __all__ = [
 ]
 
 
-def check_positive_int(value: Any, name: str) -> int:
-    """Validate that *value* is an integer >= 1 and return it as ``int``."""
+def check_int(value: Any, name: str, minimum: int = 0) -> int:
+    """Validate that *value* is an integer >= *minimum* and return it as
+    ``int``. Python and numpy integers pass; ``bool`` and integral floats
+    do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_positive_int(value: Any, name: str) -> int:
+    """Validate that *value* is an integer >= 1 and return it as ``int``."""
+    return check_int(value, name, minimum=1)
+
+
+def check_finite(value: Any, name: str) -> float:
+    """Validate that *value* is a finite real number (not ``bool``) and
+    return it as ``float``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def check_fraction(value: Any, name: str) -> float:

@@ -40,6 +40,37 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             GeneratorConfig(attr1_surge_range=(0.5, 2.0))
 
+    def test_rejects_nan_node_sd(self):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(attr1_node_sd=float("nan"))
+
+    def test_rejects_fractional_lengths(self):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(series_length=2.5, min_length=2.5)
+
+    def test_rejects_bool_series_length(self):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(series_length=True)
+
+    @pytest.mark.parametrize(
+        "name", ["n_rnc", "towers_per_rnc", "sectors_per_tower", "diurnal_period"]
+    )
+    def test_rejects_fractional_sizes(self, name):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(**{name: 2.5})
+
+    def test_rejects_infinite_surge_range(self):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(attr2_surge_range=(10.0, float("inf")))
+
+    def test_rejects_nan_log_mean(self):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(attr1_log_mean=float("nan"))
+
+    def test_accepts_numpy_integers(self):
+        cfg = GeneratorConfig(series_length=np.int64(80), min_length=np.int32(40))
+        assert cfg.series_length == 80
+
 
 class TestShapes:
     def test_population_size(self, clean):

@@ -38,6 +38,38 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             GlitchInjectionConfig(spike_factor_range=(10.0, 2.0))
 
+    def test_rejects_fractional_n_events(self):
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(n_events=2.5)
+
+    def test_rejects_bool_n_events(self):
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(n_events=True)
+
+    def test_rejects_fractional_event_length(self):
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(event_length_range=(2.5, 6))
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(event_length_range=(2, 6.5))
+
+    def test_rejects_nan_intensity_sigma(self):
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(intensity_sigma=float("nan"))
+
+    def test_rejects_infinite_factor_range(self):
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(spike_factor_range=(1.0, float("inf")))
+
+    def test_rejects_nan_factor_range(self):
+        with pytest.raises(ValidationError):
+            GlitchInjectionConfig(dip_factor_range=(float("nan"), 0.09))
+
+    def test_accepts_numpy_integers(self):
+        cfg = GlitchInjectionConfig(
+            n_events=np.int64(2), event_length_range=(np.int32(3), 9)
+        )
+        assert cfg.n_events == 2
+
     def test_rejects_negative_events(self):
         with pytest.raises(ValidationError):
             GlitchInjectionConfig(n_events=-1)

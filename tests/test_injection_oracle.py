@@ -27,7 +27,11 @@ from repro.data.topology import NodeId
 from repro.experiments.config import SCALES
 from repro.glitches.constraints import paper_constraints
 from repro.glitches.detectors import identify_ideal
-from repro.core.incremental import cleanliness_fractions, outlier_fractions
+from repro.core.incremental import (
+    CHUNK_SERIES,
+    cleanliness_fractions,
+    outlier_fractions,
+)
 
 
 def _reference_inject_one(cfg, series, rng, events):
@@ -151,8 +155,8 @@ def _reference_inject(cfg, seed, dataset):
     return out
 
 
-def _assert_matches_reference(cfg, seed, clean):
-    result = GlitchInjector(cfg, seed=seed).inject(clean)
+def _assert_matches_reference(cfg, seed, clean, shard_size=None):
+    result = GlitchInjector(cfg, seed=seed).inject(clean, shard_size=shard_size)
     expected = _reference_inject(cfg, seed, clean)
     assert len(result.records) == len(expected) == len(clean)
     for dirty, record, (ref_dirty, ref_record) in zip(
@@ -174,6 +178,14 @@ class TestReferenceOracle:
     def test_tiny_matches_reference(self, seed):
         _assert_matches_reference(
             GlitchInjectionConfig(), seed, _clean(SCALES["tiny"].generator, seed)
+        )
+
+    def test_small_one_shard_matches_reference(self):
+        """600 series in one shard: the shard spans a chunk edge."""
+        clean = _clean(SCALES["small"].generator, 1)
+        assert len(clean) > CHUNK_SERIES
+        _assert_matches_reference(
+            GlitchInjectionConfig(), 6, clean, shard_size=len(clean)
         )
 
     def test_ragged_matches_reference(self):

@@ -173,3 +173,69 @@ class TestPopulationDeterminism:
         a = build_population(scale="tiny", seed=0)
         b = build_population(scale="tiny", seed=1)
         assert a.fingerprint() != b.fingerprint()
+
+
+def _population_digest(bundle) -> str:
+    """SHA-256 over the bundle fingerprint plus every series' truth: values,
+    truth, the three injection masks, glitchy flags, ideal indices and
+    limits."""
+    import hashlib
+
+    digest = hashlib.sha256(repr(sorted(bundle.fingerprint().items())).encode())
+    for series in bundle.population:
+        digest.update(series.truth.tobytes())
+    return digest.hexdigest()
+
+
+class TestChunkEdges:
+    """The build computes per padded chunk of series inside each shard, so
+    shard sizes around the chunk size move series across chunk edges; no
+    layout may change a bit of the population on any backend."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _population_digest(build_population(scale="small", seed=2))
+
+    @pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
+    @pytest.mark.parametrize("shard_size", [1, 511, 512, 513, None])
+    def test_small_population_hash_is_layout_invariant(
+        self, reference, backend, shard_size
+    ):
+        bundle = build_population(
+            scale="small", seed=2, backend=backend, shard_size=shard_size
+        )
+        assert len(bundle.population) > 513
+        assert _population_digest(bundle) == reference
+
+
+class TestOutputAliasing:
+    """Series are row views of their chunk's arrays; no two series and no
+    values/truth pair may share memory."""
+
+    def test_values_never_alias_truth(self, tiny_bundle):
+        for dataset in (tiny_bundle.clean, tiny_bundle.population):
+            for series in dataset:
+                assert not np.shares_memory(series.values, series.truth)
+
+    def test_write_to_one_dirty_series_stays_local(self):
+        bundle = build_population(scale="tiny", seed=4)
+        series = bundle.population.series
+        before = [(s.values.copy(), s.truth.copy()) for s in series]
+        target = series[1]
+        target.values[:] = -7.0
+        assert (target.values == -7.0).all()
+        assert np.array_equal(target.truth, before[1][1])
+        for k in (0, 2):
+            values, truth = before[k]
+            assert np.array_equal(series[k].values, values, equal_nan=True)
+            assert np.array_equal(series[k].truth, truth)
+
+    def test_write_to_one_clean_series_stays_local(self):
+        bundle = build_population(scale="tiny", seed=4)
+        series = bundle.clean.series
+        truth = series[1].truth.copy()
+        neighbour = series[2].values.copy()
+        series[1].values[:] = -7.0
+        assert np.array_equal(series[1].truth, truth)
+        assert np.array_equal(series[2].values, neighbour)
+        assert np.array_equal(bundle.population[1].truth, truth)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator, draw_rows, draw_sized, spawn_generators
 
 
 def test_as_generator_from_int_is_deterministic():
@@ -63,3 +63,25 @@ def test_spawn_from_generator():
     children = spawn_generators(gen, 2)
     assert len(children) == 2
     assert not np.array_equal(children[0].random(3), children[1].random(3))
+
+
+def test_draw_rows_matches_per_series_draws_and_keeps_padding():
+    lengths = [3, 0, 5]
+    out = draw_rows(spawn_generators(8, 3), lengths, np.ones((3, 5)))
+    for row, rng, length in zip(out, spawn_generators(8, 3), lengths):
+        assert row[:length].tobytes() == rng.random(length).tobytes()
+        assert (row[length:] == 1.0).all()
+
+
+def test_draw_sized_lines_up_with_row_major_mask_order():
+    mask = np.array([[True, False, True], [False, False, False], [False, True, False]])
+    rngs = spawn_generators(9, 3)
+    got = draw_sized(rngs, np.count_nonzero(mask, axis=1), lambda r, k: r.random(k))
+    want = [rng.random(k) for rng, k in zip(spawn_generators(9, 3), (2, 0, 1))]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    # The skipped zero-size draw consumed nothing from series 1's stream.
+    assert rngs[1].random() == spawn_generators(9, 3)[1].random()
+
+
+def test_draw_sized_all_zero_counts_is_empty():
+    assert draw_sized(spawn_generators(1, 2), np.zeros(2, int), None).size == 0

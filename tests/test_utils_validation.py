@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.utils.validation import (
+    check_finite,
     check_fraction,
+    check_int,
     check_positive_int,
     check_probability,
     ensure_1d,
@@ -35,6 +37,39 @@ class TestCheckPositiveInt:
     def test_rejects_bool(self):
         with pytest.raises(ValidationError):
             check_positive_int(True, "n")
+
+
+class TestCheckInt:
+    def test_accepts_zero_at_default_minimum(self):
+        assert check_int(0, "n") == 0
+
+    def test_accepts_numpy_int(self):
+        assert type(check_int(np.int32(5), "n")) is int
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "3", None])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValidationError, match="n must be an int"):
+            check_int(value, "n")
+
+    def test_rejects_below_minimum(self):
+        with pytest.raises(ValidationError, match=">= 2"):
+            check_int(1, "n", minimum=2)
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, np.float32(1.5), np.int64(7)])
+    def test_accepts_finite_reals(self, value):
+        assert check_finite(value, "x") == float(value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValidationError, match="x must be finite"):
+            check_finite(value, "x")
+
+    @pytest.mark.parametrize("value", [True, "1.0", None, 1j])
+    def test_rejects_non_reals(self, value):
+        with pytest.raises(ValidationError, match="real number"):
+            check_finite(value, "x")
 
 
 class TestCheckFraction:
