@@ -18,7 +18,6 @@ from repro.core.evaluation import (
     glitch_fraction_table,
     summarize_outcomes,
 )
-from repro.core.cluster import ClusterBackend, local_workers, start_local_workers
 from repro.core.executor import (
     ExecutionBackend,
     ProcessBackend,
@@ -83,9 +82,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ClusterBackend",
-    "start_local_workers",
-    "local_workers",
     "resolve_backend",
     "Pipeline",
     "ShardSpec",

@@ -9,11 +9,6 @@ stream. This module owns the machinery that fans those units out:
   (numpy binning, scipy's HiGHS solve) release the GIL.
 * :class:`ProcessBackend` — a chunked process pool for CPU-bound scaling
   across cores; work functions and items must pickle.
-* :class:`~repro.core.cluster.ClusterBackend` (``"cluster"``,
-  ``"cluster:4"``, ``"cluster:host:port,..."``) — TCP dispatch to
-  ``repro-worker`` processes with leases, heartbeats, speculative
-  re-dispatch and degradation back to the local ladder; see
-  :mod:`repro.core.cluster`.
 
 All backends preserve input order and evaluate every unit exactly once, so a
 parallel run is *bitwise identical* to a serial one as long as the work
@@ -69,7 +64,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Names accepted by :func:`resolve_backend` and ``REPRO_BACKEND``.
-BACKEND_NAMES = ("serial", "thread", "process", "cluster")
+BACKEND_NAMES = ("serial", "thread", "process")
 
 _ENV_VAR = "REPRO_BACKEND"
 
@@ -425,34 +420,28 @@ class ProcessBackend:
 def parse_backend_spec(spec: str) -> tuple[str, Optional[int]]:
     """Split a ``"name"`` or ``"name:workers"`` spec into its parts.
 
-    ``"process:4"`` -> ``("process", 4)``; names are case-insensitive and
-    whitespace-tolerant. The cluster backend additionally accepts an
-    address list — ``"cluster:host:port,host:port"`` parses (and is
-    validated) to ``("cluster", None)``; :func:`resolve_backend` hands the
-    full spec to :class:`~repro.core.cluster.ClusterBackend`. Unknown names
-    and non-positive worker counts raise
-    :class:`~repro.errors.ExperimentError`.
+    The grammar is ``serial | thread[:N] | process[:N]`` with ``N`` written
+    in ASCII digits and ``N >= 1``: ``"process:4"`` -> ``("process", 4)``.
+    Names are case-insensitive and whitespace-tolerant. Unknown names, a
+    worker count on ``serial``, and malformed or non-positive worker counts
+    raise :class:`~repro.errors.ExperimentError`.
     """
-    name, _, workers_part = spec.strip().lower().partition(":")
+    name, colon, workers_part = spec.strip().lower().partition(":")
     name = name.strip()
     if name not in BACKEND_NAMES:
         raise ExperimentError(
             f"backend must be one of {list(BACKEND_NAMES)}, got {spec!r}"
         )
-    workers: Optional[int] = None
-    if workers_part:
-        workers_part = workers_part.strip()
-        if name == "cluster" and not workers_part.isdigit():
-            from repro.core.cluster import parse_cluster_spec
-
-            parse_cluster_spec(spec)  # address-list validation
-            return name, None
-        try:
-            workers = int(workers_part)
-        except ValueError:
-            raise ExperimentError(f"invalid worker count in backend spec {spec!r}")
-        if workers < 1:
-            raise ExperimentError(f"worker count must be >= 1, got {workers}")
+    if not colon:
+        return name, None
+    if name == "serial":
+        raise ExperimentError(f"the serial backend takes no worker count, got {spec!r}")
+    workers_part = workers_part.strip()
+    if not (workers_part.isascii() and workers_part.isdigit()):
+        raise ExperimentError(f"invalid worker count in backend spec {spec!r}")
+    workers = int(workers_part)
+    if workers < 1:
+        raise ExperimentError(f"worker count must be >= 1, got {workers}")
     return name, workers
 
 
@@ -489,8 +478,4 @@ def resolve_backend(
         return SerialBackend()
     if name == "thread":
         return ThreadBackend(n_workers=workers)
-    if name == "cluster":
-        from repro.core.cluster import ClusterBackend
-
-        return ClusterBackend.from_spec(chosen, n_workers=workers)
     return ProcessBackend(n_workers=workers)

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro.cleaning.base import CleaningContext, CleaningStrategy
 from repro.core.distortion import _pooled_analysis, statistical_distortion_batch
 from repro.core.evaluation import StrategyOutcome, StrategySummary, summarize_outcomes
@@ -49,7 +51,7 @@ from repro.glitches.outliers import SigmaOutlierDetector
 from repro.sampling.replication import TestPair, generate_test_pairs
 from repro.testing.faults import inject_fault
 from repro.utils.rng import Seed, spawn_generators
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_finite, check_int, check_positive_int
 
 __all__ = [
     "ExperimentConfig",
@@ -108,8 +110,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.n_replications, "n_replications")
         check_positive_int(self.sample_size, "sample_size")
+        check_finite(self.sigma_k, "sigma_k")
         if self.sigma_k <= 0:
             raise ExperimentError("sigma_k must be positive")
+        if not isinstance(self.log_transform, bool):
+            raise ExperimentError(
+                f"log_transform must be a bool, got {self.log_transform!r}"
+            )
+        if self.seed is not None and not isinstance(
+            self.seed, (np.random.Generator, np.random.SeedSequence)
+        ):
+            check_int(self.seed, "seed")
         if self.backend is not None:
             parse_backend_spec(self.backend)
         if self.n_workers is not None:
@@ -152,7 +163,7 @@ class ExperimentResult:
     """All outcomes of one experiment run.
 
     ``degradations`` is execution provenance, not an outcome: the backend
-    ladder steps (process→thread→serial, cluster→local) the run survived,
+    ladder steps (process→thread→serial) the run survived,
     drained from :func:`~repro.core.resilience.drain_degradations`. A run
     that silently fell back to a slower backend is thereby visible in
     saved outcomes — the outcome floats themselves are unchanged by any

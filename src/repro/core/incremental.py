@@ -8,7 +8,7 @@ glitch scores, sigma-limit fits over pooled ideal columns, and distortion
 accumulators on frozen grids or ECDF sketches. This module owns those folds
 once, engine-agnostically, so the engines reduce to *drivers* that decide
 where the windows come from (shard passes, live feeds) and what executes
-them (serial/thread/process/cluster backends) — never what the numbers are.
+them (serial/thread/process backends) — never what the numbers are.
 
 The identity contract every fold honours: folding a series window by window
 (any window widths, any arrival order, duplicates deduplicated upstream)

@@ -13,9 +13,9 @@ bitwise-identical to a clean run.
   jitter stream is keyed on ``(jitter_seed, unit, attempt)``, so two runs
   of the same plan sleep identically (no wall-clock entropy),
 * ``unit_timeout`` — per-unit watchdog seconds. The process backend uses it
-  to declare a wedged pool dead; the serial, thread and cluster backends
-  apply it *in-process* (``guard_timeout=True``) so a single wedged unit
-  raises :class:`~repro.errors.UnitTimeoutError` — retryable like any other
+  to declare a wedged pool dead; the serial and thread backends apply it
+  *in-process* (``guard_timeout=True``) so a single wedged unit raises
+  :class:`~repro.errors.UnitTimeoutError` — retryable like any other
   transient — instead of hanging the map (``REPRO_UNIT_TIMEOUT``;
   unset/0 disables).
 
@@ -25,8 +25,8 @@ proxy; :func:`is_retryable` encodes which failures are worth retrying
 or shape errors, which are deterministic and would fail identically again).
 
 :func:`record_degradation` / :func:`drain_degradations` are the provenance
-channel for ladder steps: when a backend falls back (process→thread→serial,
-cluster→local), the event is recorded here as well as warned, and the
+channel for ladder steps: when a backend falls back (process→thread→serial),
+the event is recorded here as well as warned, and the
 framework attaches the drained events to the run's
 :class:`~repro.core.framework.ExperimentResult` so a silently degraded run
 is visible in saved outcomes.
@@ -250,8 +250,8 @@ def resilient(
     Returns ``fn`` unchanged when the wrapper would be a no-op (retries
     disabled and no in-process timeout to enforce) so the no-fault fast
     path adds zero call overhead. ``guard_timeout`` opts in to the
-    per-attempt :class:`_TimeoutGuard` — used by the serial, thread and
-    cluster paths; the process backend keeps its pool-level watchdog
+    per-attempt :class:`_TimeoutGuard` — used by the serial and thread
+    paths; the process backend keeps its pool-level watchdog
     instead (a guard thread inside a pool worker could not terminate a
     wedged C extension either, while terminating the pool can).
     """

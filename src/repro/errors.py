@@ -19,7 +19,6 @@ __all__ = [
     "SamplingError",
     "ExperimentError",
     "StoreError",
-    "ClusterError",
     "UnitTimeoutError",
     "FaultInjectedError",
     "ReproWarning",
@@ -71,16 +70,6 @@ class ExperimentError(ReproError):
 class StoreError(ReproError):
     """A persistent-store artifact (shard file, catalog) is malformed,
     truncated, or does not match the recipe that claims it."""
-
-
-class ClusterError(ReproError):
-    """A cluster protocol message was torn, corrupt, or out of contract.
-
-    Raised by the framing layer when a frame fails its checksum or magic
-    check, and by the coordinator when a worker breaks protocol. Always
-    scoped to one connection: the coordinator re-dispatches the affected
-    units elsewhere rather than aborting the map.
-    """
 
 
 class UnitTimeoutError(ReproError):

@@ -414,7 +414,7 @@ class SweepResult:
 
         Aggregated from each cell result's
         :attr:`~repro.core.framework.ExperimentResult.degradations` — runs
-        that fell back (process→thread→serial, cluster→local) are visible
+        that fell back (process→thread→serial) are visible
         here instead of only in the warning stream.
         """
         events: dict[str, list[str]] = {}

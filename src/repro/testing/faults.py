@@ -32,13 +32,6 @@ Known sites (see the modules that probe them):
 ``slab.enospc``           ``OSError(ENOSPC)`` at the start of a shard write
 ``catalog.locked``        ``sqlite3.OperationalError: database is locked``
 ``catalog.corrupt``       ``sqlite3.DatabaseError`` while opening the catalog
-``conn.drop``             coordinator-side: close the worker socket mid-send
-``conn.corrupt``          coordinator-side: flip a payload byte before the
-                          checksum check (the real rejection path fires)
-``worker.lost``           worker-side: hard ``os._exit`` on receiving a task
-``worker.slow``           worker-side: sleep before computing (a straggler)
-``lease.expire``          coordinator-side: treat a live worker's lease as
-                          expired (its units are re-dispatched)
 ``feed.stall``            ingestion feed: yield to the event loop and deliver
                           the window late (a bursty/slow producer)
 ``feed.dup``              ingestion feed: deliver the same window twice (an
@@ -82,11 +75,6 @@ KNOWN_SITES = frozenset(
         "slab.enospc",
         "catalog.locked",
         "catalog.corrupt",
-        "conn.drop",
-        "conn.corrupt",
-        "worker.lost",
-        "worker.slow",
-        "lease.expire",
         "feed.stall",
         "feed.dup",
         "feed.reorder",

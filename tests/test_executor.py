@@ -23,7 +23,8 @@ from repro.core.executor import (
     resolve_backend,
 )
 from repro.core.framework import ExperimentConfig, ExperimentRunner
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ValidationError
+from repro.testing.faults import active_plan
 
 
 def _square(x):
@@ -133,6 +134,38 @@ class TestBackendSpecParsing:
             parse_backend_spec("process:0")
         with pytest.raises(ExperimentError):
             parse_backend_spec("process:lots")
+
+
+#: Specs outside ``serial | thread[:N] | process[:N]`` (N in ASCII digits,
+#: N >= 1), including every form of the removed cluster backend.
+MALFORMED_SPECS = [
+    "process:+3",
+    "process:1_0",
+    "process:\u0663",  # ARABIC-INDIC DIGIT THREE
+    "process:",
+    "serial:4",
+    "cluster",
+    "cluster:2",
+    "cluster:127.0.0.1:7701",
+]
+
+
+class TestMalformedBackendSpecs:
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS)
+    def test_parse_rejects(self, spec):
+        with pytest.raises(ExperimentError):
+            parse_backend_spec(spec)
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS)
+    def test_env_rejects(self, spec, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", spec)
+        with pytest.raises(ExperimentError):
+            resolve_backend("serial")
+
+    def test_removed_fault_site_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "conn.drop:1")
+        with pytest.raises(ValidationError):
+            active_plan()
 
 
 class TestResolveBackend:

@@ -8,7 +8,7 @@ from repro.core.distortion import statistical_distortion
 from repro.core.evaluation import glitch_fraction_table, summarize_outcomes
 from repro.core.framework import ExperimentConfig, ExperimentRunner
 from repro.distance.emd_approx import MarginalEmd
-from repro.errors import DistanceError, ExperimentError
+from repro.errors import DistanceError, ExperimentError, ReproError
 from repro.glitches.detectors import ScaleTransform
 from repro.glitches.types import GlitchType
 
@@ -41,6 +41,45 @@ class TestConfig:
             ExperimentConfig(n_replications=0)
         with pytest.raises(ExperimentError):
             ExperimentConfig(sigma_k=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_k", float("nan")),
+            ("sigma_k", float("inf")),
+            ("sigma_k", True),
+            ("sigma_k", "3"),
+            ("log_transform", "no"),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", "a"),
+        ],
+        ids=[
+            "sigma_k-nan",
+            "sigma_k-inf",
+            "sigma_k-bool",
+            "sigma_k-str",
+            "log_transform-str",
+            "seed-negative",
+            "seed-float",
+            "seed-str",
+        ],
+    )
+    def test_rejects_malformed_field(self, field, value):
+        with pytest.raises(ReproError):
+            ExperimentConfig(**{field: value})
+
+    def test_non_positive_sigma_k_stays_experiment_error(self):
+        with pytest.raises(ExperimentError):
+            ExperimentConfig(sigma_k=-1.0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, 0, 7, np.int64(7), np.random.default_rng(3), np.random.SeedSequence(3)],
+        ids=["none", "zero", "int", "numpy-int", "generator", "seed-sequence"],
+    )
+    def test_accepts_valid_seeds_uncoerced(self, seed):
+        assert ExperimentConfig(seed=seed).seed is seed
 
 
 class TestDistortionFunction:

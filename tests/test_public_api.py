@@ -1,6 +1,8 @@
 """Public API contract: exports resolve, are documented, and stay stable."""
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -11,6 +13,12 @@ class TestExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name!r}"
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), (
+                    f"{info.name}.__all__ lists missing {name!r}"
+                )
 
     def test_version_string(self):
         parts = repro.__version__.split(".")
