@@ -1,8 +1,9 @@
 """Cleaning-throughput smoke: columnar block path vs per-series loop.
 
-Runs the same experiment twice — once with ``REPRO_BLOCK=0`` (the per-series
-reference path) and once on the default columnar fast path — and asserts the
-two contracts the SampleBlock layer makes:
+Runs the same experiment twice — once on per-series pairs (the sampled
+pairs with their blocks dropped, the reference path) and once on the default
+columnar fast path — and asserts the two contracts the SampleBlock layer
+makes:
 
 * **identity**: every ``StrategyOutcome`` field is bitwise-identical between
   the two layouts;
@@ -21,7 +22,9 @@ from __future__ import annotations
 import time
 
 from repro.cleaning.registry import paper_strategies
-from repro.core.framework import ExperimentRunner
+from repro.core.framework import ExperimentRunner, run_pair_panels_stream
+from repro.sampling import replication
+from repro.sampling.replication import generate_test_pairs
 
 from bench_utils import record_bench
 
@@ -29,16 +32,30 @@ from bench_utils import record_bench
 ROUNDS = 3
 
 
-def _run(bundle, config):
+def _run_block(bundle, config):
     runner = ExperimentRunner(bundle.dirty, bundle.ideal, config=config)
     return runner.run(paper_strategies())
 
 
-def _timed_best(bundle, config, rounds=ROUNDS):
+def _run_loop(bundle, config):
+    pairs = (
+        replication.TestPair(index=p.index, dirty=p.dirty, ideal=p.ideal)
+        for p in generate_test_pairs(
+            bundle.dirty,
+            bundle.ideal,
+            config.n_replications,
+            config.sample_size,
+            seed=config.seed,
+        )
+    )
+    return run_pair_panels_stream(pairs, [paper_strategies()], config)[0]
+
+
+def _timed_best(run, bundle, config, rounds=ROUNDS):
     result, best = None, float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        result = _run(bundle, config)
+        result = run(bundle, config)
         best = min(best, time.perf_counter() - start)
     return result, best
 
@@ -57,17 +74,14 @@ def _outcome_key(o):
     )
 
 
-def test_block_fastpath_identity_and_throughput(bundle, config, monkeypatch):
+def test_block_fastpath_identity_and_throughput(bundle, config):
     # Warm both paths once (imports, allocator, BLAS thread spin-up) so the
     # timed rounds compare steady-state work.
-    monkeypatch.setenv("REPRO_BLOCK", "1")
-    _run(bundle, config)
-    monkeypatch.setenv("REPRO_BLOCK", "0")
-    _run(bundle, config)
+    _run_block(bundle, config)
+    _run_loop(bundle, config)
 
-    loop_result, loop_s = _timed_best(bundle, config)
-    monkeypatch.setenv("REPRO_BLOCK", "1")
-    block_result, block_s = _timed_best(bundle, config)
+    loop_result, loop_s = _timed_best(_run_loop, bundle, config)
+    block_result, block_s = _timed_best(_run_block, bundle, config)
 
     loop_keys = [_outcome_key(o) for o in loop_result.outcomes]
     block_keys = [_outcome_key(o) for o in block_result.outcomes]

@@ -29,8 +29,6 @@ from repro.core.framework import (
     ExperimentConfig,
     ExperimentResult,
     ExperimentRunner,
-    evaluate_pair_outcomes,
-    run_pair_stream,
 )
 from repro.core.glitch_index import (
     GlitchWeights,
@@ -72,8 +70,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRunner",
     "ExperimentResult",
-    "evaluate_pair_outcomes",
-    "run_pair_stream",
     "StreamingExperiment",
     "StreamingResult",
     "run_streaming_experiment",

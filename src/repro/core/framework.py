@@ -40,7 +40,6 @@ from repro.core.glitch_index import (
     series_glitch_scores,
     series_glitch_scores_block,
 )
-from repro.data.block import block_fast_path_enabled
 from repro.data.dataset import StreamDataset
 from repro.distance.base import Distance
 from repro.distance.emd import EarthMoverDistance
@@ -57,10 +56,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentRunner",
-    "evaluate_pair_outcomes",
     "evaluate_pair_panels",
-    "run_pair_stream",
     "run_pair_panels_stream",
+    "strategy_seeds",
 ]
 
 
@@ -234,6 +232,37 @@ def _shared_context(template: CleaningContext, seed: Seed) -> CleaningContext:
     return ctx
 
 
+def _panel_distances(
+    distances: Optional[Sequence[Optional[Distance]]],
+    n_panels: int,
+    config: ExperimentConfig,
+) -> list[Distance]:
+    """One distance per panel; ``None`` entries become
+    ``config.make_distance()``."""
+    if distances is None:
+        distances = [None] * n_panels
+    if len(distances) != n_panels:
+        raise ExperimentError(
+            f"got {len(distances)} distances for {n_panels} panels"
+        )
+    return [d if d is not None else config.make_distance() for d in distances]
+
+
+def strategy_seeds(config: ExperimentConfig) -> list[np.random.Generator]:
+    """The per-replication random streams the cleaning strategies consume.
+
+    Spawned from ``config.seed + 1`` for an int seed, so they stay disjoint
+    from the pair draws spawned from ``config.seed``. A ``SeedSequence`` or
+    ``Generator`` seed is spawned from directly; that advances its spawn
+    counter, so these streams must be spawned *before* the pair draws
+    consume the same seed.
+    """
+    seed = config.seed
+    return spawn_generators(
+        seed + 1 if isinstance(seed, int) else seed, config.n_replications
+    )
+
+
 def evaluate_pair_panels(
     pair: TestPair,
     panels: Sequence[Sequence[CleaningStrategy]],
@@ -262,20 +291,21 @@ def evaluate_pair_panels(
     *distances* supplies one distance per panel (``None`` entries — or the
     argument itself being ``None`` — fall back to a fresh
     ``config.make_distance()`` per panel, matching the one-instance-per-run
-    layout of the standalone path). Returns one outcome list per panel, in
-    panel order; a single-panel call is exactly
-    :func:`evaluate_pair_outcomes`.
+    layout of a single-panel run). Returns one outcome list per panel, in
+    panel order.
+
+    Pairs carrying a columnar :class:`~repro.data.block.SampleBlock` (the
+    layout ``generate_test_pairs`` draws from uniform-length populations)
+    run the whole clean → annotate → score loop on block tensors; pairs of
+    per-series data sets (ragged populations) take the per-series path. The
+    two layouts give bitwise-identical outcomes.
     """
     panels = [list(panel) for panel in panels]
     if not panels:
         raise ExperimentError("need at least one strategy panel")
     weights = weights or GlitchWeights()
     constraints = constraints if constraints is not None else paper_constraints()
-    panel_distances = [
-        (distances[k] if distances is not None and distances[k] is not None
-         else config.make_distance())
-        for k in range(len(panels))
-    ]
+    panel_distances = _panel_distances(distances, len(panels), config)
     panel_seeds = list(seeds) if seeds is not None else [None] * len(panels)
     if len(panel_seeds) != len(panels):
         raise ExperimentError(
@@ -295,7 +325,7 @@ def evaluate_pair_panels(
         transform=config.transform,
     )
     block = getattr(pair, "dirty_block", None)
-    use_block = block is not None and block_fast_path_enabled()
+    use_block = block is not None
     # Glitch indexes are reported per reference sample of 100 series, so
     # experiments with different B land on directly comparable axes —
     # the paper's Figures 6(a) and 6(c) (B = 100 vs 500) share their
@@ -387,126 +417,6 @@ def evaluate_pair_panels(
     return results
 
 
-def evaluate_pair_outcomes(
-    pair: TestPair,
-    strategies: Sequence[CleaningStrategy],
-    config: ExperimentConfig,
-    distance: Optional[Distance] = None,
-    weights: Optional[GlitchWeights] = None,
-    constraints: Optional[ConstraintSet] = None,
-    seed: Seed = None,
-) -> list[StrategyOutcome]:
-    """Evaluate every strategy on one replication pair.
-
-    Module-level (and free of runner state) so a ``functools.partial`` of it
-    pickles cleanly into process-pool workers. Strategies are cleaned first
-    in list order — preserving the per-replication random stream layout of
-    the serial loop — then all treated samples are scored against the dirty
-    sample in one batched distortion call, which bins the dirty side once on
-    a grid shared by the whole strategy panel.
-
-    Pairs carrying a columnar :class:`~repro.data.block.SampleBlock` (the
-    default for uniform-length populations, see ``generate_test_pairs``) run
-    the whole clean → annotate → score loop on block tensors — bitwise-
-    identical outcomes, a fraction of the wall clock. ``REPRO_BLOCK=0``
-    forces the per-series reference path.
-
-    The single-panel specialisation of :func:`evaluate_pair_panels`.
-    """
-    return evaluate_pair_panels(
-        pair,
-        [strategies],
-        config,
-        distances=[distance] if distance is not None else None,
-        weights=weights,
-        constraints=constraints,
-        seeds=[seed],
-    )[0]
-
-
-@dataclass(frozen=True)
-class _RunSpec:
-    """Everything a worker needs to evaluate one replication pair.
-
-    Shipped (pickled) to process-pool workers once per chunk; deliberately
-    excludes the populations — workers receive already-sampled pairs.
-    """
-
-    config: ExperimentConfig
-    strategies: tuple[CleaningStrategy, ...]
-    distance: Distance
-    weights: GlitchWeights
-    constraints: ConstraintSet
-
-
-def _evaluate_work_unit(spec: _RunSpec, unit: tuple) -> list[StrategyOutcome]:
-    """Evaluate one ``(pair, seed)`` work unit under a run spec."""
-    inject_fault("unit")
-    pair, seed = unit
-    return evaluate_pair_outcomes(
-        pair,
-        spec.strategies,
-        config=spec.config,
-        distance=spec.distance,
-        weights=spec.weights,
-        constraints=spec.constraints,
-        seed=seed,
-    )
-
-
-def run_pair_stream(
-    pairs,
-    strategies: Sequence[CleaningStrategy],
-    config: ExperimentConfig,
-    distance: Optional[Distance] = None,
-    weights: Optional[GlitchWeights] = None,
-    constraints: Optional[ConstraintSet] = None,
-    backend: Union[None, str, ExecutionBackend] = None,
-) -> ExperimentResult:
-    """Evaluate all strategies over an already-drawn stream of test pairs.
-
-    The evaluation half of :meth:`ExperimentRunner.run`, factored out so
-    pair *producers* are pluggable: the runner feeds it pairs sampled from
-    materialised populations, the streaming slab engine feeds it pairs
-    gathered from a bounded parent subset — the per-replication strategy
-    seed streams, work-unit layout and backend fan-out are shared, which is
-    what keeps the two paths' outcomes bitwise-identical.
-
-    *pairs* must yield ``config.n_replications`` pairs in replication order;
-    the serial backend consumes the stream lazily (one pair in memory at a
-    time), parallel backends materialise it to dispatch.
-    """
-    if not strategies:
-        raise ExperimentError("need at least one strategy")
-    names = [s.name for s in strategies]
-    if len(set(names)) != len(names):
-        raise ExperimentError(f"duplicate strategy names: {names}")
-    # Independent per-replication streams for the stochastic treatments.
-    strategy_seeds = spawn_generators(
-        config.seed if not isinstance(config.seed, int) else config.seed + 1,
-        config.n_replications,
-    )
-    spec = _RunSpec(
-        config=config,
-        strategies=tuple(strategies),
-        distance=distance or config.make_distance(),
-        weights=weights or GlitchWeights(),
-        constraints=constraints if constraints is not None else paper_constraints(),
-    )
-    resolved = resolve_backend(
-        backend if backend is not None else config.backend,
-        n_workers=config.n_workers,
-    )
-    batches = resolved.map(
-        partial(_evaluate_work_unit, spec), zip(pairs, strategy_seeds)
-    )
-    result = ExperimentResult(config=config)
-    result.degradations.extend(drain_degradations())
-    for batch in batches:
-        result.outcomes.extend(batch)
-    return result
-
-
 @dataclass(frozen=True)
 class _PanelsSpec:
     """Everything a worker needs to evaluate one pair across many panels."""
@@ -533,6 +443,26 @@ def _evaluate_panels_unit(spec: _PanelsSpec, unit: tuple) -> list[list[StrategyO
     )
 
 
+def _work_units(pairs, seed_lists, n_pairs: int):
+    """``(pair, per-panel seeds)`` units; the stream must hold exactly
+    *n_pairs* pairs."""
+    seeds = zip(*seed_lists)
+    n = 0
+    for pair in pairs:
+        if n == n_pairs:
+            raise ExperimentError(
+                f"pair stream holds more than the {n_pairs} configured "
+                "replications"
+            )
+        yield pair, next(seeds)
+        n += 1
+    if n != n_pairs:
+        raise ExperimentError(
+            f"pair stream held {n} pairs, but {n_pairs} replications are "
+            "configured"
+        )
+
+
 def run_pair_panels_stream(
     pairs,
     panels: Sequence[Sequence[CleaningStrategy]],
@@ -543,27 +473,30 @@ def run_pair_panels_stream(
     backend: Union[None, str, ExecutionBackend] = None,
     result_configs: Optional[Sequence[ExperimentConfig]] = None,
 ) -> list[ExperimentResult]:
-    """Evaluate many strategy panels over one shared stream of test pairs.
+    """Evaluate strategy panels over one stream of test pairs.
 
-    The group-level driver of the incremental sweep planner
-    (:mod:`repro.experiments.sweep`): sweep cells that share a population
-    and an outcome-determining config — differing only in their strategy
-    panel — are evaluated in **one** pass over the replication pairs, with
-    the per-pair dirty reference frame hoisted by
-    :func:`evaluate_pair_panels`. Every panel gets its own pre-spawned
-    per-replication random streams, derived exactly as a standalone
-    :func:`run_pair_stream` of that panel would derive them, which is what
-    keeps each panel's outcomes bitwise-identical to its from-scratch run.
+    The one replication driver. :meth:`ExperimentRunner.run` feeds it pairs
+    sampled from materialised populations, the streaming slab engine and
+    the push service feed it pairs gathered from a bounded parent subset,
+    and the incremental sweep planner (:mod:`repro.experiments.sweep`)
+    hands it every panel of a group of cells that share a population and
+    an outcome-determining config. The per-pair dirty reference frame is
+    hoisted once by :func:`evaluate_pair_panels`, while every panel gets
+    its own per-replication random streams (:func:`strategy_seeds`), which
+    keeps each panel's outcomes bitwise-identical to a single-panel run.
 
-    *pairs* must yield ``config.n_replications`` pairs in replication
-    order; they are shared by every panel (pairs are never mutated — every
-    strategy copies). Requires an int ``config.seed``: non-int seeds are
-    consumed order-dependently by the single-panel loop, so a multi-panel
-    pass could not replay the same streams. *result_configs* optionally
-    stamps each returned :class:`ExperimentResult` with its own cell
-    config (the cells of one group may differ in execution-only fields);
-    outcome evaluation always uses *config*. Returns one result per panel,
-    in panel order.
+    *pairs* must yield exactly ``config.n_replications`` pairs in
+    replication order (a shorter or longer stream raises
+    :class:`~repro.errors.ExperimentError`); they are shared by every panel
+    (pairs are never mutated — every strategy copies). The serial backend
+    consumes the stream lazily, one pair in memory at a time; parallel
+    backends materialise it to dispatch. A single-panel call accepts any
+    config seed; a multi-panel call requires an int ``config.seed``,
+    because a ``SeedSequence``/``Generator`` seed hands out new streams at
+    every spawn. *result_configs* optionally stamps each returned
+    :class:`ExperimentResult` with its own cell config (the cells of one
+    group may differ in execution-only fields); outcome evaluation always
+    uses *config*. Returns one result per panel, in panel order.
     """
     panels = tuple(tuple(panel) for panel in panels)
     if not panels:
@@ -574,30 +507,26 @@ def run_pair_panels_stream(
         names = [s.name for s in panel]
         if len(set(names)) != len(names):
             raise ExperimentError(f"duplicate strategy names: {names}")
-    if not isinstance(config.seed, int):
+    if len(panels) > 1 and not isinstance(config.seed, int):
         raise ExperimentError(
-            "run_pair_panels_stream requires an int config seed; "
-            "SeedSequence/Generator seeds are consumed order-dependently "
-            "by the single-panel replication loop"
+            "a multi-panel pass requires an int config seed; a "
+            "SeedSequence/Generator seed hands out different streams to "
+            "every spawn, so panels after the first would not replay a "
+            "standalone run"
         )
     if result_configs is not None and len(result_configs) != len(panels):
         raise ExperimentError(
             f"got {len(result_configs)} result configs for {len(panels)} panels"
         )
+    panel_distances = tuple(_panel_distances(distances, len(panels), config))
     # One independent per-replication stream family per panel — the exact
-    # spawn a standalone run of that panel performs.
-    seed_lists = [
-        spawn_generators(config.seed + 1, config.n_replications)
-        for _ in panels
-    ]
+    # spawn a standalone run of that panel performs. Spawned before the
+    # first pair is drawn: a non-int seed is shared with the pair draws.
+    seed_lists = [strategy_seeds(config) for _ in panels]
     spec = _PanelsSpec(
         config=config,
         panels=panels,
-        distances=tuple(
-            (distances[k] if distances is not None and distances[k] is not None
-             else config.make_distance())
-            for k in range(len(panels))
-        ),
+        distances=panel_distances,
         weights=weights or GlitchWeights(),
         constraints=constraints if constraints is not None else paper_constraints(),
     )
@@ -606,7 +535,8 @@ def run_pair_panels_stream(
         n_workers=config.n_workers,
     )
     batches = resolved.map(
-        partial(_evaluate_panels_unit, spec), zip(pairs, zip(*seed_lists))
+        partial(_evaluate_panels_unit, spec),
+        _work_units(pairs, seed_lists, config.n_replications),
     )
     results = [
         ExperimentResult(
@@ -679,15 +609,15 @@ class ExperimentRunner:
         seed: Seed = None,
     ) -> list[StrategyOutcome]:
         """Evaluate every strategy on one replication pair."""
-        return evaluate_pair_outcomes(
+        return evaluate_pair_panels(
             pair,
-            strategies,
+            [strategies],
             config=self.config,
-            distance=self.distance,
+            distances=[self.distance],
             weights=self.weights,
             constraints=self.constraints,
-            seed=seed,
-        )
+            seeds=[seed],
+        )[0]
 
     # -- full run -------------------------------------------------------------------
 
@@ -718,12 +648,12 @@ class ExperimentRunner:
             sample_size=cfg.sample_size,
             seed=cfg.seed,
         )
-        return run_pair_stream(
+        return run_pair_panels_stream(
             pair_stream,
-            strategies,
+            [strategies],
             config=cfg,
-            distance=self.distance,
+            distances=[self.distance],
             weights=self.weights,
             constraints=self.constraints,
             backend=self.resolve_backend(),
-        )
+        )[0]

@@ -50,6 +50,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.cleaning.base import CleaningStrategy
 from repro.data.block import CHUNK_SERIES
 from repro.data.stream import TimeSeries
 from repro.data.window import StreamWindow, cut_series_windows
@@ -64,8 +65,17 @@ from repro.glitches.detectors import (
     SigmaOutlierDetector,
 )
 from repro.glitches.types import N_GLITCH_TYPES, GlitchType
+from repro.core.framework import (
+    ExperimentConfig,
+    ExperimentResult,
+    run_pair_panels_stream,
+)
 from repro.core.glitch_index import GlitchWeights
-from repro.sampling.replication import ParentGather, TestPair
+from repro.sampling.replication import (
+    ParentGather,
+    TestPair,
+    replication_index_streams,
+)
 from repro.stats.descriptive import sigma_limits
 from repro.stats.ecdf import EcdfSketch
 from repro.utils.validation import check_fraction
@@ -91,6 +101,7 @@ __all__ = [
     "fit_sigma_limits",
     "build_parent_gathers",
     "iter_test_pairs",
+    "run_replications",
 ]
 
 
@@ -405,7 +416,7 @@ def identify_series(
 
 
 # ---------------------------------------------------------------------------
-# Replication-pair construction (shared by the pull engine and the service)
+# Replications over a verdict split (shared by the pull engine and the service)
 # ---------------------------------------------------------------------------
 
 
@@ -465,6 +476,61 @@ def iter_test_pairs(
                 dirty=dirty_gather.sample(d_idx, block=False),
                 ideal=ideal_gather.sample(i_idx, block=False),
             )
+
+
+def run_replications(
+    dirty_idx: Sequence[int],
+    ideal_idx: Sequence[int],
+    lengths: np.ndarray,
+    gather: Callable[[frozenset], Dict[int, TimeSeries]],
+    strategies: Sequence[CleaningStrategy],
+    config: ExperimentConfig,
+    distance: Optional[Distance] = None,
+    weights: Optional[GlitchWeights] = None,
+    constraints: Optional[ConstraintSet] = None,
+    backend: Optional[object] = None,
+) -> tuple[ExperimentResult, int]:
+    """Draw, gather and evaluate the replications of a verdict split.
+
+    The replication loop of the engines that hold the population's
+    verdicts and series lengths rather than its parent blocks. It draws
+    the in-memory path's exact per-replication index streams
+    (:func:`~repro.sampling.replication.replication_index_streams`), hands
+    the set of touched population indices to *gather* (which returns
+    ``population index -> series`` for at least those), stands the two
+    parents up with :func:`build_parent_gathers`, and evaluates the pairs
+    through :func:`~repro.core.framework.run_pair_panels_stream`. The
+    outcomes are therefore bitwise-identical to
+    :class:`~repro.core.framework.ExperimentRunner` on the materialised
+    population. Returns the result and the number of gathered series.
+    """
+    draws = list(
+        replication_index_streams(
+            len(dirty_idx),
+            len(ideal_idx),
+            config.n_replications,
+            config.sample_size,
+            seed=config.seed,
+        )
+    )
+    needed = frozenset(
+        {dirty_idx[int(i)] for d_idx, _ in draws for i in d_idx}
+        | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
+    )
+    entries = gather(needed)
+    dirty_gather, ideal_gather, use_block = build_parent_gathers(
+        dirty_idx, ideal_idx, entries, lengths
+    )
+    result = run_pair_panels_stream(
+        iter_test_pairs(draws, dirty_gather, ideal_gather, use_block),
+        [strategies],
+        config=config,
+        distances=[distance],
+        weights=weights,
+        constraints=constraints,
+        backend=backend,
+    )[0]
+    return result, len(entries)
 
 
 # ---------------------------------------------------------------------------

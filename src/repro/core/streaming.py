@@ -15,10 +15,9 @@ plus O(what the replications actually touch), never O(population):
   :func:`~repro.sampling.replication.replication_index_streams` first, and
   then gathers only the union of touched series — at most ``2 x R x B``
   distinct of them, independent of the population size — into a
-  :class:`~repro.sampling.replication.ParentGather`;
-* optional **bottom-k / priority sketches** (weights = per-series glitch
-  scores) are built shard by shard and unioned, summarising the dirty
-  population's glitch mass without ever holding it.
+  :class:`~repro.sampling.replication.ParentGather`
+  (:func:`~repro.core.incremental.run_replications`, the loop the push
+  service shares).
 
 The engine is contractually **bitwise-identical** to the in-memory path:
 every per-series random stream is pre-spawned by index (the PR 2 contract),
@@ -40,12 +39,8 @@ import numpy as np
 
 from repro.cleaning.base import CleaningStrategy
 from repro.core.executor import resolve_backend
-from repro.core.framework import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_pair_stream,
-)
-from repro.core.glitch_index import GlitchWeights, series_glitch_score
+from repro.core.framework import ExperimentConfig, ExperimentResult
+from repro.core.glitch_index import GlitchWeights
 from repro.data.generator import GeneratorConfig
 from repro.data.glitch_injection import GlitchInjectionConfig
 from repro.data.slab import SlabFeed, SlabSource, load_slab
@@ -53,22 +48,18 @@ from repro.data.stream import TimeSeries
 from repro.distance.base import Distance
 from repro.errors import ValidationError
 from repro.core.incremental import (
-    build_parent_gathers,
     cleanliness_fractions,
     fit_sigma_limits,
     identify_fixed_point,
     ideal_column,
-    iter_test_pairs,
     outlier_fractions,
+    run_replications,
     split_verdicts,
 )
 from repro.glitches.constraints import ConstraintSet, paper_constraints
 from repro.glitches.detectors import DetectorSuite, ScaleTransform, SigmaLimits
-from repro.sampling.bottom_k import BottomKSketch, indexed_ranks, union_sketches
-from repro.sampling.priority import PrioritySample, priority_sample_indexed
-from repro.sampling.replication import replication_index_streams
 from repro.testing.faults import inject_fault
-from repro.utils.rng import Seed, as_generator, snapshot_seed, spawn_sequences
+from repro.utils.rng import Seed
 from repro.utils.validation import check_fraction
 
 __all__ = [
@@ -149,30 +140,16 @@ def _column_slab(spec: _ColumnSpec, unit: tuple[SlabSource, np.ndarray]) -> np.n
     return ideal_column(load_slab(source), keep, spec.attr_index, spec.transform)
 
 
-@dataclass(frozen=True)
-class _GatherSpec:
-    """Final pass: gather the replication-touched series (+ glitch scores)."""
-
-    needed: frozenset
-    suite: Optional[DetectorSuite]
-    weights: Optional[GlitchWeights]
-
-
 def _gather_slab(
-    spec: _GatherSpec, unit: tuple[SlabSource, np.ndarray]
-) -> tuple[list[tuple[int, TimeSeries]], np.ndarray]:
-    """Kept ``(population index, series)`` pairs plus (optionally) the
-    glitch scores of the shard's dirty members, in shard order."""
+    needed: frozenset, source: SlabSource
+) -> list[tuple[int, TimeSeries]]:
+    """``(population index, series)`` for the shard's series in *needed*,
+    in shard order."""
     inject_fault("unit")
-    source, dirty_mask = unit
-    series = load_slab(source)
     kept: list[tuple[int, TimeSeries]] = []
-    scores: list[float] = []
-    for offset, (s, is_dirty) in enumerate(zip(series, dirty_mask)):
+    for offset, s in enumerate(load_slab(source)):
         idx = source.start + offset
-        if spec.suite is not None and is_dirty:
-            scores.append(series_glitch_score(spec.suite.annotate(s), spec.weights))
-        if idx in spec.needed:
+        if idx in needed:
             # Deep-copy the arrays: store-loaded series are views into the
             # whole shard's tensor, and keeping a view would pin the shard —
             # exactly the O(population) retention the gather exists to avoid.
@@ -187,7 +164,7 @@ def _gather_slab(
                     ),
                 )
             )
-    return kept, np.array(scores)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +179,7 @@ class StreamingResult:
     ``result`` is the ordinary :class:`ExperimentResult` —
     outcome-for-outcome identical to the in-memory path. The rest is the
     engine's bounded population summary: the dirty/ideal split, the fitted
-    suite, and (when ``sketch_k`` was set) the glitch-score sketches over
-    the shard stream.
+    suite, and the store's traffic.
     """
 
     result: ExperimentResult
@@ -215,9 +191,6 @@ class StreamingResult:
     n_store_passes: int
     spilled_bytes: int
     n_evicted: int = 0
-    glitch_scores: Optional[np.ndarray] = None
-    sketch: Optional[BottomKSketch] = None
-    priority: Optional[PrioritySample] = None
 
     @property
     def outcomes(self):
@@ -253,10 +226,6 @@ class StreamingExperiment:
         ``None``), evicting over-budget shards back to their recipes
         between passes — a pure disk/compute trade, never a numbers
         change.
-    sketch_k:
-        When set, the final pass also scores every dirty series and builds a
-        bottom-k sketch and a priority sample (weights = glitch scores) by
-        shard-stream union; ``None`` (default) skips the extra annotation.
     """
 
     def __init__(
@@ -276,7 +245,6 @@ class StreamingExperiment:
         spill: bool = True,
         spill_dir: Optional[str] = None,
         disk_budget: Optional[int] = None,
-        sketch_k: Optional[int] = None,
     ):
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
@@ -298,11 +266,6 @@ class StreamingExperiment:
         self.k = k
         self.max_fraction = check_fraction(max_fraction, "max_fraction")
         self.max_iter = max_iter
-        self.sketch_k = sketch_k
-        # Snapshot mutable SeedSequence seeds so the engine's derivations
-        # (and the sketch stream) replay children 0..n regardless of what
-        # the caller spawned from the sequence before.
-        self.seed = snapshot_seed(seed)
         # The ExperimentConfig backend knob applies here exactly as it does
         # to ExperimentRunner: an explicit argument wins, then the config's
         # backend/n_workers, then REPRO_BACKEND (inside Pipeline.coerce).
@@ -371,6 +334,11 @@ class StreamingExperiment:
             (source, per_series[source.start : source.stop])
             for source in self.feed.sources
         ]
+
+    def _gather(self, needed: frozenset) -> dict[int, TimeSeries]:
+        """One store pass keeping only the series in *needed*."""
+        chunks = self._map(partial(_gather_slab, needed))
+        return {idx: s for kept in chunks for idx, s in kept}
 
     def _fit_limits(self, verdicts: np.ndarray) -> SigmaLimits:
         """The 3-sigma fit on the current ideal set, one attribute at a time.
@@ -465,43 +433,13 @@ class StreamingExperiment:
             verdicts, suite = self.identify()
             dirty_idx, ideal_idx = split_verdicts(verdicts)
 
-            # Draw the replication index streams up front — they only need
-            # the two population sizes — then gather just the touched series.
-            draws = list(
-                replication_index_streams(
-                    len(dirty_idx),
-                    len(ideal_idx),
-                    cfg.n_replications,
-                    cfg.sample_size,
-                    seed=cfg.seed,
-                )
-            )
-            needed = frozenset(
-                {dirty_idx[int(i)] for d_idx, _ in draws for i in d_idx}
-                | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
-            )
-            gather_spec = _GatherSpec(
-                needed=needed,
-                suite=suite if self.sketch_k is not None else None,
-                weights=weights if self.sketch_k is not None else None,
-            )
-            chunks = self._map(
-                partial(_gather_slab, gather_spec), self._shard_units(~verdicts)
-            )
-            entries = {idx: s for kept, _ in chunks for idx, s in kept}
-
-            scores = sketch = priority = None
-            if self.sketch_k is not None:
-                scores, sketch, priority = self._sketch(
-                    dirty_idx, [s for _, s in chunks]
-                )
-
-            dirty_gather, ideal_gather, use_block = build_parent_gathers(
-                dirty_idx, ideal_idx, entries, self.feed.lengths
-            )
-
-            result = run_pair_stream(
-                iter_test_pairs(draws, dirty_gather, ideal_gather, use_block),
+            # The index draws need only the two population sizes; one
+            # store pass then gathers just the touched series.
+            result, n_gathered = run_replications(
+                dirty_idx,
+                ideal_idx,
+                self.feed.lengths,
+                self._gather,
                 strategies,
                 config=cfg,
                 distance=distance,
@@ -515,53 +453,14 @@ class StreamingExperiment:
                 dirty_indices=dirty_idx,
                 ideal_indices=ideal_idx,
                 suite=suite,
-                n_gathered=len(entries),
+                n_gathered=n_gathered,
                 n_store_passes=self._store_passes,
                 spilled_bytes=self.feed.spilled_bytes(),
                 n_evicted=self.feed.n_evicted,
-                glitch_scores=scores,
-                sketch=sketch,
-                priority=priority,
             )
         finally:
             if cleanup:
                 self.feed.cleanup()
-
-    def _sketch(
-        self, dirty_idx: list[int], score_chunks: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, BottomKSketch, PrioritySample]:
-        """Shard-stream sketches of the dirty population's glitch mass.
-
-        Per-item ranks are pre-spawned by dirty-order index from a dedicated
-        child of the root seed, so each shard sketches its own slice and the
-        union *is* the population sketch (the distributed-collection
-        identity the property tests pin).
-        """
-        scores = np.concatenate(score_chunks) if score_chunks else np.empty(0)
-        # Re-snapshot per call: spawning mutates the stored sequence's child
-        # counter, and repeated run() must derive the same sketch stream.
-        sketch_seq = spawn_sequences(as_generator(snapshot_seed(self.seed)), 3)[2]
-        ranks = indexed_ranks(len(scores), sketch_seq)
-        shard_sketches = []
-        pos = 0
-        for chunk in score_chunks:
-            n = len(chunk)
-            if n == 0:
-                continue
-            shard_sketches.append(
-                BottomKSketch.from_weights(
-                    keys=dirty_idx[pos : pos + n],
-                    weights=chunk,
-                    k=self.sketch_k,
-                    ranks=ranks[pos : pos + n],
-                )
-            )
-            pos += n
-        sketch = union_sketches(shard_sketches)
-        priority = priority_sample_indexed(
-            keys=dirty_idx, weights=scores, k=self.sketch_k, ranks=ranks
-        )
-        return scores, sketch, priority
 
 
 def run_streaming_experiment(

@@ -7,7 +7,7 @@ synthetic generator that stands in for the proprietary AT&T feed, and the
 glitch injector that reproduces the paper's glitch mix.
 """
 
-from repro.data.block import SampleBlock, block_fast_path_enabled
+from repro.data.block import SampleBlock
 from repro.data.dataset import StreamDataset
 from repro.data.generator import GenerationShard, GeneratorConfig, NetworkDataGenerator, generate_shard
 from repro.data.glitch_injection import (
@@ -27,7 +27,6 @@ __all__ = [
     "TimeSeries",
     "StreamDataset",
     "SampleBlock",
-    "block_fast_path_enabled",
     "WindowHistory",
     "GeneratorConfig",
     "NetworkDataGenerator",

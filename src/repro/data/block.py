@@ -16,14 +16,13 @@ block tensor, and every block-level operation in the library is contractually
 bitwise-identical to its per-series counterpart (enforced by
 ``tests/test_block_strategies.py``).
 
-Blocks require a uniform series length; ragged populations simply stay on the
-per-series path. The ``REPRO_BLOCK`` environment variable (``0``/``off`` to
-disable) force-disables the fast path everywhere for A/B comparison.
+Blocks require a uniform series length: uniform populations always take the
+block path, and ragged populations take the per-series path, which also
+serves the tests as the reference the block path must match.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,27 +30,13 @@ import numpy as np
 from repro.data.topology import NodeId
 from repro.errors import DataShapeError, ValidationError
 
-__all__ = ["CHUNK_SERIES", "SampleBlock", "block_fast_path_enabled"]
+__all__ = ["CHUNK_SERIES", "SampleBlock"]
 
 #: Series per padded chunk, the unit of every per-series block pass: the
 #: population build computes and the identification passes score one
 #: ``(n, T, v)`` chunk at a time. Bounds each pass's temporaries at a few MB
 #: (512 x 170 x 3 float64 is 2 MB) whatever the population size.
 CHUNK_SERIES = 512
-
-
-def block_fast_path_enabled() -> bool:
-    """Whether the columnar fast path is enabled (``REPRO_BLOCK`` knob).
-
-    Defaults to on; set ``REPRO_BLOCK=0`` (or ``off``/``false``) to force
-    every consumer back onto the per-series reference path.
-    """
-    return os.environ.get("REPRO_BLOCK", "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
 
 
 class SampleBlock:

@@ -24,7 +24,12 @@ import numpy as np
 from repro.cleaning.base import CleaningContext, CleaningStrategy
 from repro.cleaning.registry import paper_strategies, strategy_by_name
 from repro.core.cost import PAPER_COST_FRACTIONS, CostSweepResult, cost_sweep
-from repro.core.framework import ExperimentConfig, ExperimentResult, ExperimentRunner
+from repro.core.framework import (
+    ExperimentConfig,
+    ExperimentResult,
+    ExperimentRunner,
+    strategy_seeds,
+)
 from repro.errors import ExperimentError, ValidationError
 from repro.experiments.config import PopulationBundle, experiment_config
 from repro.glitches.detectors import DetectorSuite
@@ -32,7 +37,7 @@ from repro.glitches.outliers import SigmaOutlierDetector
 from repro.glitches.patterns import counts_over_time
 from repro.glitches.types import DatasetGlitches
 from repro.sampling.replication import generate_test_pairs
-from repro.utils.rng import Seed, spawn_generators
+from repro.utils.rng import Seed
 
 __all__ = [
     "figure3_counts",
@@ -52,7 +57,7 @@ __all__ = [
 #: any combination of them. Anything else (custom configs, identification
 #: parameters) bypasses the catalog rather than risk a wrong key.
 _EXECUTION_ONLY_KWARGS = frozenset(
-    {"shard_size", "spill", "spill_dir", "disk_budget", "sketch_k", "n_workers"}
+    {"shard_size", "spill", "spill_dir", "disk_budget", "n_workers"}
 )
 
 
@@ -75,7 +80,7 @@ def run_experiment(
     slab engine (:class:`~repro.core.streaming.StreamingExperiment`) with
     peak memory bounded by the shard size instead of the population. The
     two paths return bitwise-identical outcomes; extra keyword arguments
-    (``shard_size=``, ``spill_dir=``, ``disk_budget=``, ``sketch_k=``, ...)
+    (``shard_size=``, ``spill_dir=``, ``disk_budget=``, ...)
     reach the streaming engine only. *distance* — an instance, or the
     config's ``distance`` name selector — is honoured identically by both
     engines.
@@ -263,10 +268,7 @@ def collect_treatment_scatter(
         bundle.dirty, bundle.ideal, config.n_replications, config.sample_size,
         seed=config.seed,
     )
-    seeds = spawn_generators(
-        config.seed if not isinstance(config.seed, int) else config.seed + 1,
-        config.n_replications,
-    )
+    seeds = strategy_seeds(config)
     for pair, rng in zip(pairs, seeds):
         context = CleaningContext(
             ideal=pair.ideal,

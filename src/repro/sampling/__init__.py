@@ -3,17 +3,10 @@
 The framework "relies on sampling [so it] will work on very large data"
 (Section 2.1.6). Whole time series are the sampling unit — "we maintained the
 temporal structure by sampling entire time series and not individual data
-points" (Section 4.2). Besides simple with-replacement sampling, the schemes
-the paper cites as pluggable are provided: differentially weighted sampling,
-bottom-k sketches [4] and priority sampling for subset sums [5].
+points" (Section 4.2). Besides simple with-replacement sampling,
+differentially weighted sampling is provided.
 """
 
-from repro.sampling.bottom_k import BottomKSketch, indexed_ranks, union_sketches
-from repro.sampling.priority import (
-    PrioritySample,
-    priority_sample,
-    priority_sample_indexed,
-)
 from repro.sampling.replication import (
     ParentGather,
     TestPair,
@@ -32,10 +25,4 @@ __all__ = [
     "sample_series",
     "weighted_sample_indices",
     "weighted_sample_series",
-    "BottomKSketch",
-    "indexed_ranks",
-    "union_sketches",
-    "PrioritySample",
-    "priority_sample",
-    "priority_sample_indexed",
 ]

@@ -11,8 +11,8 @@ C-level index gather into the parent block instead of ``B`` per-series object
 selections, and — when work units ship to process-pool workers — one array
 pickle instead of ``B`` ``TimeSeries`` pickles. The per-series ``dirty`` /
 ``ideal`` data sets are materialised lazily as zero-copy views, so consumers
-of either layout see the exact same values. ``REPRO_BLOCK=0`` disables the
-block layout entirely (ragged populations skip it automatically).
+of either layout see the exact same values. Ragged populations are drawn as
+per-series data sets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.data.block import SampleBlock, block_fast_path_enabled
+from repro.data.block import SampleBlock
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.errors import ValidationError
@@ -166,7 +166,7 @@ class ParentGather:
         self.uniform = bool(uniform)
         self._block: Optional[SampleBlock] = None
         self._rows: Optional[dict[int, int]] = None
-        if self.uniform and block_fast_path_enabled() and self._entries:
+        if self.uniform and self._entries:
             order = sorted(self._entries)
             series = [self._entries[i] for i in order]
             truth = None
@@ -247,10 +247,8 @@ def generate_test_pairs(
     """
     n_pairs = check_positive_int(n_pairs, "n_pairs")
     sample_size = check_positive_int(sample_size, "sample_size")
-    dirty_block = ideal_block = None
-    if block_fast_path_enabled():
-        dirty_block = dirty.try_to_block()
-        ideal_block = ideal.try_to_block()
+    dirty_block = dirty.try_to_block()
+    ideal_block = ideal.try_to_block()
     draws = replication_index_streams(
         len(dirty), len(ideal), n_pairs, sample_size, seed=seed
     )

@@ -8,10 +8,9 @@ of recent windows (the :class:`~repro.data.slab.SlabFeed` ring discipline,
 sized by ``REPRO_SESSION_RING``), and leaves an audit record in the
 session's :class:`~repro.service.alerts.AlertSink`. :meth:`finalize`
 reassembles the journaled streams into the batch engine's exact inputs and
-routes them through the same replication arithmetic
-(:func:`~repro.sampling.replication.replication_index_streams` →
-:class:`~repro.sampling.replication.ParentGather` →
-:func:`~repro.core.framework.run_pair_stream`), so final outcomes are
+routes them through the streaming engine's replication loop
+(:func:`~repro.core.incremental.run_replications`: index draws → gather →
+:func:`~repro.core.framework.run_pair_panels_stream`), so final outcomes are
 **bitwise-identical** to :class:`~repro.core.streaming.StreamingExperiment`
 on the same population, for every selectable distance — however hostile the
 delivery order was.
@@ -40,13 +39,12 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.executor import resolve_backend
-from repro.core.framework import ExperimentConfig, ExperimentResult, run_pair_stream
+from repro.core.framework import ExperimentConfig, ExperimentResult
 from repro.core.glitch_index import GlitchWeights
 from repro.core.incremental import (
     IncrementalScorer,
     WindowDelta,
-    build_parent_gathers,
-    iter_test_pairs,
+    run_replications,
     split_verdicts,
 )
 from repro.data.window import StreamWindow
@@ -58,7 +56,6 @@ from repro.glitches.detectors import (
     SigmaLimits,
     SigmaOutlierDetector,
 )
-from repro.sampling.replication import replication_index_streams
 from repro.store.catalog import Catalog, code_salt, resolve_catalog
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -330,11 +327,11 @@ class MonitoringSession:
         """Score the journaled population — bitwise the batch engines' run.
 
         Reassembles every stream (the journal must hold each one complete),
-        splits on the identified verdicts, draws the exact per-replication
-        index streams of the in-memory path, gathers the touched series,
-        and evaluates through :func:`run_pair_stream` — the same arithmetic
-        :class:`~repro.core.streaming.StreamingExperiment.run` drives, so
-        the outcomes are bitwise-identical to both batch engines for every
+        splits on the identified verdicts, and runs the replication loop
+        :class:`~repro.core.streaming.StreamingExperiment.run` runs
+        (:func:`~repro.core.incremental.run_replications`), gathering the
+        touched series from the journal instead of the store. The outcomes
+        are therefore bitwise-identical to both batch engines for every
         selectable distance, regardless of how the windows arrived.
         """
         cfg = self.config
@@ -346,26 +343,12 @@ class MonitoringSession:
                 f"{len(series)}"
             )
         dirty_idx, ideal_idx = split_verdicts(verdicts)
-        draws = list(
-            replication_index_streams(
-                len(dirty_idx),
-                len(ideal_idx),
-                cfg.n_replications,
-                cfg.sample_size,
-                seed=cfg.seed,
-            )
-        )
-        needed = frozenset(
-            {dirty_idx[int(i)] for d_idx, _ in draws for i in d_idx}
-            | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
-        )
-        entries = {idx: series[idx] for idx in needed}
         lengths = np.array([s.length for s in series], dtype=np.int64)
-        dirty_gather, ideal_gather, use_block = build_parent_gathers(
-            dirty_idx, ideal_idx, entries, lengths
-        )
-        return run_pair_stream(
-            iter_test_pairs(draws, dirty_gather, ideal_gather, use_block),
+        result, _ = run_replications(
+            dirty_idx,
+            ideal_idx,
+            lengths,
+            lambda needed: {idx: series[idx] for idx in needed},
             strategies,
             config=cfg,
             distance=distance,
@@ -373,6 +356,7 @@ class MonitoringSession:
             constraints=constraints,
             backend=resolve_backend(backend),
         )
+        return result
 
     def close(self) -> None:
         """Release the catalog if the session opened it."""

@@ -3,8 +3,8 @@
 Every block-level operation must reproduce its per-series counterpart
 exactly — same bits, not approximately. These tests pin that contract for
 the detector suite, each registry strategy (plus the extension strategies
-and wrappers), and the full experiment loop across execution backends with
-the fast path on and off.
+and wrappers), and the full experiment loop across execution backends in
+both layouts.
 """
 
 import numpy as np
@@ -16,7 +16,11 @@ from repro.cleaning.registry import paper_strategies, strategy_by_name
 from repro.cleaning.remeasure import RemeasureStrategy
 from repro.core.distortion import statistical_distortion_batch
 from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
-from repro.core.framework import ExperimentConfig, ExperimentRunner
+from repro.core.framework import (
+    ExperimentConfig,
+    ExperimentRunner,
+    run_pair_panels_stream,
+)
 from repro.core.glitch_index import (
     GlitchWeights,
     series_glitch_scores,
@@ -24,6 +28,7 @@ from repro.core.glitch_index import (
 )
 from repro.data.dataset import StreamDataset
 from repro.glitches.detectors import DetectorSuite, ScaleTransform
+from repro.sampling import replication
 from repro.sampling.replication import generate_test_pairs
 
 REGISTRY_NAMES = [f"strategy{i}" for i in range(1, 6)]
@@ -181,7 +186,8 @@ class TestDistortionEquivalence:
 
 
 class TestFullRunEquivalence:
-    """Outcome lists are bitwise-identical: block on/off x all backends."""
+    """Outcome lists are bitwise-identical: per-series/block layout x all
+    backends."""
 
     @staticmethod
     def _keys(result):
@@ -200,43 +206,50 @@ class TestFullRunEquivalence:
             for o in result.outcomes
         ]
 
-    def test_block_vs_loop_across_backends(self, tiny_bundle, monkeypatch):
+    @staticmethod
+    def _per_series(bundle, cfg, backend=None):
+        """The per-series reference run: the same pairs with their blocks
+        dropped."""
+        pairs = (
+            replication.TestPair(index=p.index, dirty=p.dirty, ideal=p.ideal)
+            for p in generate_test_pairs(
+                bundle.dirty,
+                bundle.ideal,
+                cfg.n_replications,
+                cfg.sample_size,
+                seed=cfg.seed,
+            )
+        )
+        return run_pair_panels_stream(
+            pairs, [paper_strategies()], cfg, backend=backend
+        )[0]
+
+    def test_block_vs_loop_across_backends(self, tiny_bundle):
         cfg = ExperimentConfig(n_replications=2, sample_size=10, seed=3)
         backends = {
             "serial": SerialBackend,
             "thread": lambda: ThreadBackend(2),
             "process": lambda: ProcessBackend(2, min_units=1),
         }
-        monkeypatch.setenv("REPRO_BLOCK", "0")
-        reference = ExperimentRunner(
-            tiny_bundle.dirty, tiny_bundle.ideal, config=cfg
-        ).run(paper_strategies())
-        reference_keys = self._keys(reference)
-        for use_block in ("0", "1"):
-            monkeypatch.setenv("REPRO_BLOCK", use_block)
+        reference_keys = self._keys(self._per_series(tiny_bundle, cfg))
+        for layout in ("series", "block"):
             for name, factory in backends.items():
-                result = ExperimentRunner(
-                    tiny_bundle.dirty,
-                    tiny_bundle.ideal,
-                    config=cfg,
-                    backend=factory(),
-                ).run(paper_strategies())
+                if layout == "series":
+                    result = self._per_series(tiny_bundle, cfg, factory())
+                else:
+                    result = ExperimentRunner(
+                        tiny_bundle.dirty,
+                        tiny_bundle.ideal,
+                        config=cfg,
+                        backend=factory(),
+                    ).run(paper_strategies())
                 assert self._keys(result) == reference_keys, (
-                    f"outcomes diverged: REPRO_BLOCK={use_block}, backend={name}"
+                    f"outcomes diverged: layout={layout}, backend={name}"
                 )
 
-    def test_fast_path_engages_by_default(self, tiny_bundle, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK", raising=False)
+    def test_fast_path_engages_by_default(self, tiny_bundle):
         pair = next(
             generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 1, 5, seed=0)
         )
         assert pair.dirty_block is not None
         assert pair.ideal_block is not None
-
-    def test_fallback_disables_block_sampling(self, tiny_bundle, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK", "0")
-        pair = next(
-            generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 1, 5, seed=0)
-        )
-        assert pair.dirty_block is None
-        assert len(pair.dirty) == 5

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cleaning.registry import paper_strategies
+from repro.cleaning.registry import paper_strategies, strategy_by_name
 from repro.core.framework import (
     ExperimentConfig,
     ExperimentRunner,
     evaluate_pair_panels,
+    run_pair_panels_stream,
 )
+from repro.errors import ExperimentError
 from repro.sampling.replication import generate_test_pairs
 from repro.utils.rng import spawn_generators
 
@@ -71,3 +73,61 @@ class TestNonIntSeeds:
             )
         assert len(rebuilt) == cfg.n_replications * len(strategies)
         assert _keys(result.outcomes) == _keys(rebuilt)
+
+
+def _pairs(bundle, n_pairs, sample_size=6, seed=0):
+    return generate_test_pairs(
+        bundle.dirty, bundle.ideal, n_pairs=n_pairs, sample_size=sample_size,
+        seed=seed,
+    )
+
+
+class TestPairCount:
+    """The stream must hold exactly ``config.n_replications`` pairs."""
+
+    @pytest.mark.parametrize("n_pairs", [2, 4], ids=["short", "long"])
+    def test_stream_length_mismatch_raises(self, tiny_bundle, n_pairs):
+        cfg = ExperimentConfig(n_replications=3, sample_size=6, seed=0)
+        with pytest.raises(ExperimentError, match="3 .*replications"):
+            run_pair_panels_stream(
+                _pairs(tiny_bundle, n_pairs), [[strategy_by_name("strategy4")]], cfg
+            )
+
+    def test_exact_stream_evaluates_every_pair(self, tiny_bundle):
+        cfg = ExperimentConfig(n_replications=3, sample_size=6, seed=0)
+        (result,) = run_pair_panels_stream(
+            _pairs(tiny_bundle, 3), [paper_strategies()], cfg
+        )
+        assert len(result.outcomes) == 3 * 5
+
+
+class TestPanelArguments:
+    @pytest.mark.parametrize("n_distances", [1, 3])
+    def test_evaluate_pair_panels_checks_distances(self, tiny_bundle, n_distances):
+        cfg = ExperimentConfig(n_replications=1, sample_size=6, seed=0)
+        pair = next(_pairs(tiny_bundle, 1))
+        panels = [[strategy_by_name("strategy4")], [strategy_by_name("strategy5")]]
+        with pytest.raises(ExperimentError, match="distances"):
+            evaluate_pair_panels(
+                pair, panels, cfg, distances=[None] * n_distances
+            )
+
+    @pytest.mark.parametrize("n_distances", [1, 3])
+    def test_run_pair_panels_stream_checks_distances(self, tiny_bundle, n_distances):
+        cfg = ExperimentConfig(n_replications=1, sample_size=6, seed=0)
+        panels = [[strategy_by_name("strategy4")], [strategy_by_name("strategy5")]]
+        with pytest.raises(ExperimentError, match="distances"):
+            run_pair_panels_stream(
+                _pairs(tiny_bundle, 1), panels, cfg, distances=[None] * n_distances
+            )
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, np.random.SeedSequence(1), np.random.default_rng(1)],
+        ids=["none", "seed_sequence", "generator"],
+    )
+    def test_multi_panel_rejects_non_int_seed(self, tiny_bundle, seed):
+        cfg = ExperimentConfig(n_replications=1, sample_size=6, seed=seed)
+        panels = [[strategy_by_name("strategy4")], [strategy_by_name("strategy5")]]
+        with pytest.raises(ExperimentError, match="int config seed"):
+            run_pair_panels_stream(_pairs(tiny_bundle, 1), panels, cfg)

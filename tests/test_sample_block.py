@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.data.block import SampleBlock, block_fast_path_enabled
+from repro.data.block import SampleBlock
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
@@ -131,17 +131,6 @@ class TestPickling:
         assert np.array_equal(restored.truth, block.truth)
         assert restored.attributes == block.attributes
         assert restored.nodes == block.nodes
-
-
-class TestEnvKnob:
-    def test_block_fast_path_enabled_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK", raising=False)
-        assert block_fast_path_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "FALSE", "no"])
-    def test_block_fast_path_disabled(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BLOCK", value)
-        assert not block_fast_path_enabled()
 
 
 class TestValidation:

@@ -1,11 +1,9 @@
-"""Sampling schemes: simple, weighted, replications, sketches."""
+"""Sampling schemes: simple, weighted, replications."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SamplingError, ValidationError
-from repro.sampling.bottom_k import BottomKSketch
-from repro.sampling.priority import priority_sample
 from repro.sampling.replication import generate_test_pairs
 from repro.sampling.simple import sample_indices, sample_series
 from repro.sampling.weighted import weighted_sample_indices, weighted_sample_series
@@ -89,104 +87,3 @@ class TestReplications:
             np.array_equal(x.values, y.values, equal_nan=True)
             for x, y in zip(a.dirty, b.dirty)
         )
-
-
-class TestBottomK:
-    def items(self, n=200, seed=0):
-        rng = np.random.default_rng(seed)
-        return [(i, float(w)) for i, w in enumerate(rng.gamma(2.0, 1.0, n))]
-
-    def test_size_capped_at_k(self):
-        sketch = BottomKSketch.build(self.items(), k=20, seed=0)
-        assert len(sketch) == 20
-
-    def test_small_population_kept_whole(self):
-        items = [(0, 1.0), (1, 2.0)]
-        sketch = BottomKSketch.build(items, k=10, seed=0)
-        assert len(sketch) == 2
-        assert np.isinf(sketch.tau)
-        assert sketch.estimate_total() == pytest.approx(3.0)
-
-    def test_zero_weight_skipped(self):
-        sketch = BottomKSketch.build([(0, 0.0), (1, 1.0)], k=5, seed=0)
-        assert 0 not in sketch
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(SamplingError):
-            BottomKSketch.build([(0, -1.0)], k=2)
-
-    def test_subset_sum_unbiased(self):
-        items = self.items(300, seed=1)
-        truth = sum(w for key, w in items if key % 3 == 0)
-        estimates = [
-            BottomKSketch.build(items, k=60, seed=s).estimate_subset_sum(
-                lambda key: key % 3 == 0
-            )
-            for s in range(60)
-        ]
-        assert np.mean(estimates) == pytest.approx(truth, rel=0.12)
-
-    def test_union_estimates_combined_total(self):
-        left = self.items(100, seed=2)
-        right = [(k + 1000, w) for k, w in self.items(100, seed=3)]
-        sl = BottomKSketch.build(left, k=40, seed=4)
-        sr = BottomKSketch.build(right, k=40, seed=5)
-        merged = sl.union(sr)
-        assert len(merged) == 40
-        truth = sum(w for _, w in left) + sum(w for _, w in right)
-        assert merged.estimate_total() == pytest.approx(truth, rel=0.35)
-
-    def test_union_k_mismatch_raises(self):
-        a = BottomKSketch.build(self.items(50), k=5, seed=0)
-        b = BottomKSketch.build(self.items(50), k=6, seed=0)
-        with pytest.raises(SamplingError):
-            a.union(b)
-
-    def test_adjusted_weight_absent_is_zero(self):
-        sketch = BottomKSketch.build(self.items(50), k=10, seed=0)
-        assert sketch.adjusted_weight("nope") == 0.0
-
-
-class TestPrioritySampling:
-    def items(self, n=200, seed=0):
-        rng = np.random.default_rng(seed)
-        return [(i, float(w)) for i, w in enumerate(rng.gamma(2.0, 1.0, n))]
-
-    def test_size(self):
-        sample = priority_sample(self.items(), k=25, seed=0)
-        assert len(sample) == 25
-
-    def test_small_population_exact(self):
-        sample = priority_sample([(0, 1.0), (1, 2.0)], k=5, seed=0)
-        assert sample.tau == 0.0
-        assert sample.estimate_total() == pytest.approx(3.0)
-
-    def test_rejects_bad_weight(self):
-        with pytest.raises(SamplingError):
-            priority_sample([(0, float("inf"))], k=2)
-
-    def test_total_estimate_unbiased(self):
-        items = self.items(300, seed=7)
-        truth = sum(w for _, w in items)
-        estimates = [
-            priority_sample(items, k=50, seed=s).estimate_total() for s in range(80)
-        ]
-        assert np.mean(estimates) == pytest.approx(truth, rel=0.1)
-
-    def test_subset_sum_unbiased(self):
-        items = self.items(300, seed=8)
-        truth = sum(w for key, w in items if key < 100)
-        estimates = [
-            priority_sample(items, k=60, seed=s).estimate_subset_sum(
-                lambda key: key < 100
-            )
-            for s in range(80)
-        ]
-        assert np.mean(estimates) == pytest.approx(truth, rel=0.12)
-
-    def test_heavy_items_almost_always_sampled(self):
-        items = [(i, 1.0) for i in range(100)] + [("whale", 500.0)]
-        hits = sum(
-            "whale" in priority_sample(items, k=20, seed=s) for s in range(30)
-        )
-        assert hits == 30

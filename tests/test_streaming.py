@@ -104,15 +104,6 @@ class TestStreamingIdentity:
         assert streamed.n_gathered <= min(bound, streamed.n_series)
         assert streamed.n_gathered < streamed.n_series  # genuinely partial
 
-    def test_per_series_layout_when_block_disabled(
-        self, block_reference, tiny_cfg, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BLOCK", "0")
-        streamed = StreamingExperiment.from_scale(
-            "tiny", seed=0, config=tiny_cfg
-        ).run(STRATEGIES)
-        assert _keys(streamed.result) == _keys(block_reference)
-
 
 class TestRaggedStreaming:
     """Ragged populations had no bounded-memory path at all before."""
@@ -145,30 +136,6 @@ class TestRaggedStreaming:
             generator_config=self.RAGGED, seed=0, config=cfg, backend=backend
         ).run(STRATEGIES)
         assert _keys(streamed.result) == _keys(reference)
-
-
-class TestSketchIntegration:
-    def test_sketches_summarise_dirty_glitch_mass(self, tiny_cfg):
-        streamed = StreamingExperiment.from_scale(
-            "tiny", seed=0, config=tiny_cfg, sketch_k=8
-        ).run(STRATEGIES)
-        assert streamed.glitch_scores is not None
-        assert len(streamed.glitch_scores) == len(streamed.dirty_indices)
-        assert len(streamed.sketch) == 8
-        assert set(streamed.sketch.keys) <= set(streamed.dirty_indices)
-        # Rank-conditioned estimates stay in the ballpark of the true total.
-        true_total = float(streamed.glitch_scores.sum())
-        assert streamed.sketch.estimate_total() > 0
-        assert streamed.priority.estimate_total() == pytest.approx(
-            true_total, rel=1.0
-        )
-
-    def test_sketches_off_by_default(self, tiny_cfg):
-        streamed = StreamingExperiment.from_scale(
-            "tiny", seed=0, config=tiny_cfg
-        ).run(STRATEGIES)
-        assert streamed.glitch_scores is None
-        assert streamed.sketch is None
 
 
 class TestDistanceSelector:
@@ -283,7 +250,7 @@ class TestSelection:
 
         with pytest.raises(ExperimentError):
             run_experiment(
-                "tiny", config=tiny_cfg.variant(streaming=False), sketch_k=4
+                "tiny", config=tiny_cfg.variant(streaming=False), shard_size=4
             )
 
     def test_config_validates_streaming_field(self):
@@ -322,13 +289,11 @@ class TestSelection:
     def test_repeated_run_same_engine(self):
         cfg = ExperimentConfig(n_replications=2, sample_size=6, seed=3)
         engine = StreamingExperiment.from_scale(
-            "tiny", seed=np.random.SeedSequence(7), config=cfg, sketch_k=4
+            "tiny", seed=np.random.SeedSequence(7), config=cfg
         )
         first = engine.run(STRATEGIES)
         second = engine.run(STRATEGIES)
         assert _keys(first.result) == _keys(second.result)
-        assert first.sketch.keys == second.sketch.keys
-        assert first.sketch.tau == second.sketch.tau
 
     def test_run_streaming_experiment_entry_point(self, tiny_cfg):
         streamed = run_streaming_experiment(
