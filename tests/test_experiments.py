@@ -28,7 +28,10 @@ from repro.experiments.report import (
     render_strategy_summaries,
     render_table1,
 )
+from repro.cleaning.base import CleaningContext
 from repro.cleaning.registry import strategy_by_name
+from repro.sampling.replication import generate_test_pairs
+from repro.utils.rng import spawn_generators
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,45 @@ class TestScatter:
         )
         assert scatter.n_imputed > 0
         assert scatter.untouched.size > 0
+
+    @pytest.mark.parametrize(
+        "make_seed",
+        [lambda: 3, lambda: np.random.SeedSequence(3)],
+        ids=["int", "seed_sequence"],
+    )
+    def test_imputations_use_the_driver_strategy_streams(
+        self, tiny_bundle, make_seed
+    ):
+        # Strategy 1 imputes by random MVN draws, so the imputed values pin
+        # which per-replication streams the scatter cleans with: the ones
+        # the replication driver spawns (seed + 1 for an int seed, the seed
+        # itself otherwise, spawned before the pair draws).
+        strategy = strategy_by_name("strategy1")
+        cfg = ExperimentConfig(n_replications=2, sample_size=8, seed=make_seed())
+        scatter = collect_treatment_scatter(tiny_bundle, strategy, "attr1", cfg)
+
+        seed = make_seed()
+        rngs = spawn_generators(
+            seed + 1 if isinstance(seed, int) else seed, cfg.n_replications
+        )
+        pairs = generate_test_pairs(
+            tiny_bundle.dirty, tiny_bundle.ideal, cfg.n_replications,
+            cfg.sample_size, seed=seed,
+        )
+        imputed = []
+        for pair, rng in zip(pairs, rngs):
+            context = CleaningContext(
+                ideal=pair.ideal, transform=cfg.transform,
+                sigma_k=cfg.sigma_k, seed=rng,
+            )
+            treated = strategy.clean(pair.dirty, context)
+            for before_s, after_s in zip(pair.dirty, treated):
+                j = before_s.attribute_index("attr1")
+                mask = context.treatable_mask(before_s)[:, j]
+                after = context.to_analysis(after_s.values, after_s.attributes)
+                imputed.append(after[:, j][mask])
+        assert scatter.n_imputed > 0
+        assert np.array_equal(scatter.imputed_after, np.concatenate(imputed))
 
     def test_figure4_statistics(self, tiny_bundle, cfg):
         raw = figure4_stats(tiny_bundle, log_transform=False, config=cfg)
