@@ -29,8 +29,10 @@ carry a valid-row mask and the true lengths (:class:`RowChunk`); each
 detector flags a whole chunk in one elementwise pass, and a series' rate is
 its count of valid flagged rows (:func:`count_rows`) over its length. The
 batch passes (:func:`cleanliness_fractions`, :func:`outlier_fractions`,
-:func:`ideal_column`) serve the block path, the push service and the
-streaming engine's shard passes. The live folds count through the same
+:func:`ideal_column`) consume chunks from either source: the block path and
+the push service pack in-memory series (:func:`series_chunks`), and the
+streaming engine's shard passes cut them straight from a stored shard's row
+segment (:func:`segment_chunks`). The live folds count through the same
 kernel: :class:`CleanlinessFold` counts each arriving window's missing and
 inconsistent rows, and :class:`GlitchFold` counts glitch cells and outlier
 rows (:func:`_glitch_counts`) per window after a suite froze, and per chunk
@@ -46,7 +48,7 @@ per-mode contract against the pooled path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +93,8 @@ __all__ = [
     "IncrementalScorer",
     "CHUNK_SERIES",
     "RowChunk",
+    "series_chunks",
+    "segment_chunks",
     "count_rows",
     "cleanliness_fractions",
     "outlier_fractions",
@@ -213,16 +217,63 @@ class RowChunk:
             return counts / self.lengths
 
 
-def _iter_chunks(series: Sequence[TimeSeries]) -> Iterator[RowChunk]:
-    """*series* as consecutive padded chunks, in order."""
+def series_chunks(series: Sequence[TimeSeries]) -> Iterator[RowChunk]:
+    """*series* as consecutive padded chunks, in order (one copy per row)."""
     for start in range(0, len(series), CHUNK_SERIES):
         yield RowChunk.pack(series[start : start + CHUNK_SERIES])
 
 
+def segment_chunks(
+    values: np.ndarray,
+    lengths: np.ndarray,
+    attributes: Sequence[str],
+    keep: Optional[np.ndarray] = None,
+) -> Iterator[RowChunk]:
+    """A series-concatenated ``(sum(lengths), v)`` row segment as
+    consecutive padded chunks, in order.
+
+    The segment is the layout a stored shard already has
+    (:class:`~repro.store.shards.ShardHandle`). Each :data:`CHUNK_SERIES`
+    slice whose members share one length is a zero-copy reshape of the
+    segment; a ragged slice costs one masked scatter into a NaN-padded
+    block. *keep* (a per-series mask) selects members first, copying only
+    their rows; slices with no kept member are skipped. The chunks carry
+    the same rows :func:`series_chunks` would pack, so every kernel pass
+    over them is bitwise the same.
+    """
+    values = np.asarray(values)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    attributes = tuple(attributes)
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    for lo in range(0, len(lengths), CHUNK_SERIES):
+        hi = min(lo + CHUNK_SERIES, len(lengths))
+        rows = values[bounds[lo] : bounds[hi]]
+        part = lengths[lo:hi]
+        uniform = bool((part == part[0]).all())
+        if uniform:
+            rows = rows.reshape(len(part), int(part[0]), len(attributes))
+        if keep is not None:
+            mask = np.asarray(keep[lo:hi], dtype=bool)
+            if not mask.any():
+                continue
+            if not mask.all():
+                rows = rows[mask if uniform else np.repeat(mask, part)]
+                part = part[mask]
+        width = int(part.max())
+        valid = np.arange(width) < part[:, None]
+        if uniform:
+            block = rows
+        else:
+            block = np.full((len(part), width, len(attributes)), np.nan)
+            block[valid] = rows
+        yield RowChunk(block, valid, part, attributes)
+
+
 def cleanliness_fractions(
-    series: Sequence[TimeSeries], constraints: ConstraintSet
+    chunks: Iterable[RowChunk], constraints: ConstraintSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series record-level ``(missing, inconsistent)`` fraction vectors.
+    """Per-series record-level ``(missing, inconsistent)`` fraction vectors
+    of the series in *chunks*, in order.
 
     Neither rate depends on the fitted outlier detector, so every driver
     computes them once and reuses them in every fixed-point round; the
@@ -232,16 +283,17 @@ def cleanliness_fractions(
         chunk.fractions(
             _cleanliness_counts(chunk.values, chunk.attributes, constraints, chunk.valid)
         )
-        for chunk in _iter_chunks(series)
+        for chunk in chunks
     ]
     miss, inc = np.concatenate(parts, axis=1) if parts else np.empty((2, 0))
     return miss, inc
 
 
 def outlier_fractions(
-    series: Sequence[TimeSeries], suite: DetectorSuite
+    chunks: Iterable[RowChunk], suite: DetectorSuite
 ) -> np.ndarray:
-    """Per-series record-level outlier fractions under a fitted suite.
+    """Per-series record-level outlier fractions of the series in *chunks*
+    under a fitted suite.
 
     Replays ``GlitchMatrix.record_fraction(OUTLIER)``: scale, detect,
     any-attribute reduce, mean over records.
@@ -250,30 +302,29 @@ def outlier_fractions(
         chunk.fractions(
             _outlier_counts(chunk.values, chunk.attributes, suite, chunk.valid)
         )
-        for chunk in _iter_chunks(series)
+        for chunk in chunks
     ]
     return np.concatenate(parts or [np.empty(0)])
 
 
 def ideal_column(
-    series: Sequence[TimeSeries],
-    keep: Sequence[bool],
+    chunks: Iterable[RowChunk],
     attr_index: int,
     transform: Optional[ScaleTransform],
 ) -> np.ndarray:
-    """The kept series' pooled analysis-scale values of one attribute.
+    """The pooled analysis-scale values of one attribute over the series in
+    *chunks* (the kept ones: selecting them is the chunk source's job).
 
     The inner step of the sigma-limit fit: apply the transform when it
     targets this attribute and keep the finite values (else drop NaNs
     only), in series order and then time order — exactly the order of
     ``StreamDataset.pooled_column`` over the kept series. The transform and
     the filter are elementwise, so the pooled column is bitwise the same
-    whether the series came from memory, streamed shards, or reassembled
-    live windows.
+    whether the chunks were packed from memory, cut from stored shard
+    segments, or packed from reassembled live windows.
     """
-    kept = [s for s, k in zip(series, keep) if k]
     parts = []
-    for chunk in _iter_chunks(kept):
+    for chunk in chunks:
         col = chunk.values[..., attr_index]
         attr = chunk.attributes[attr_index]
         if transform is not None and transform.attribute == attr:
@@ -345,6 +396,15 @@ def identify_fixed_point(
     :func:`identify_series`; the pull engine fans both steps over shard
     passes. Identical callables in, identical verdicts and suite out — bit
     for bit.
+
+    When membership converges, the returned suite was fitted on the
+    returned ideal set. When *max_iter* runs out first, it was not: the
+    suite was fitted on the previous round's ideal set, and the returned
+    verdicts are that suite's re-split. The paper-scale population of
+    seed 0 stops this way (``max_iter=3``), with the two sets 4 series
+    apart; seed 1 converges. Refitting once more would move every
+    downstream number, so the loop deliberately returns the last fitted
+    suite together with the verdicts it produced.
     """
     if N_GLITCH_TYPES != 3:  # pragma: no cover - future-taxonomy tripwire
         raise ValidationError(
@@ -399,7 +459,13 @@ def identify_series(
     def fit_limits(verdicts: np.ndarray) -> SigmaLimits:
         return fit_sigma_limits(
             attributes,
-            lambda j, attr: [ideal_column(series, verdicts, j, transform)],
+            lambda j, attr: [
+                ideal_column(
+                    series_chunks([s for s, keep in zip(series, verdicts) if keep]),
+                    j,
+                    transform,
+                )
+            ],
             k,
         )
 
@@ -409,7 +475,7 @@ def identify_series(
         constraints,
         transform,
         fit_limits,
-        lambda suite: outlier_fractions(series, suite),
+        lambda suite: outlier_fractions(series_chunks(series), suite),
         max_fraction,
         max_iter,
     )

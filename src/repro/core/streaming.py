@@ -8,9 +8,10 @@ identify_ideal → sample replications → clean → score — over bounded
 plus O(what the replications actually touch), never O(population):
 
 * the **fixed-point split** (Section 2.1.2's ideal-set identification)
-  re-streams the spilled shards once per round: cleanliness verdicts come
-  back as a few floats per series, and the 3-sigma fit pools one
-  attribute's ideal column at a time;
+  re-streams the spilled shards once per round, reading padded chunk views
+  of each shard's row segment: cleanliness verdicts come back as a few
+  floats per series, and the 3-sigma fit pools one attribute's ideal
+  column at a time;
 * **replication sampling** draws the exact per-replication index streams of
   :func:`~repro.sampling.replication.replication_index_streams` first, and
   then gathers only the union of touched series — at most ``2 x R x B``
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,17 +44,19 @@ from repro.core.framework import ExperimentConfig, ExperimentResult
 from repro.core.glitch_index import GlitchWeights
 from repro.data.generator import GeneratorConfig
 from repro.data.glitch_injection import GlitchInjectionConfig
-from repro.data.slab import SlabFeed, SlabSource, load_slab
+from repro.data.slab import SlabFeed, SlabSource, open_slab
 from repro.data.stream import TimeSeries
 from repro.distance.base import Distance
 from repro.errors import ValidationError
 from repro.core.incremental import (
+    RowChunk,
     cleanliness_fractions,
     fit_sigma_limits,
     identify_fixed_point,
     ideal_column,
     outlier_fractions,
     run_replications,
+    segment_chunks,
     split_verdicts,
 )
 from repro.glitches.constraints import ConstraintSet, paper_constraints
@@ -92,6 +95,14 @@ def streaming_enabled(config: Optional[ExperimentConfig] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _shard_chunks(
+    source: SlabSource, spill: bool = False, keep: Optional[np.ndarray] = None
+) -> Iterator[RowChunk]:
+    """The shard's padded chunks, cut straight from its row segment."""
+    shard = open_slab(source, spill=spill)
+    return segment_chunks(shard.values, shard.lengths, shard.attributes, keep)
+
+
 @dataclass(frozen=True)
 class _ProfileSpec:
     """Round-0 pass: spill + the suite-independent cleanliness fractions."""
@@ -103,7 +114,7 @@ def _profile_slab(spec: _ProfileSpec, source: SlabSource) -> tuple[np.ndarray, n
     """Per-series record-level missing/inconsistent fractions of one shard
     (computed once, reused by every fixed-point round)."""
     inject_fault("unit")
-    return cleanliness_fractions(load_slab(source, spill=True), spec.constraints)
+    return cleanliness_fractions(_shard_chunks(source, spill=True), spec.constraints)
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ class _OutlierSpec:
 
 def _outlier_slab(spec: _OutlierSpec, source: SlabSource) -> np.ndarray:
     inject_fault("unit")
-    return outlier_fractions(load_slab(source), spec.suite)
+    return outlier_fractions(_shard_chunks(source), spec.suite)
 
 
 @dataclass(frozen=True)
@@ -137,30 +148,38 @@ def _column_slab(spec: _ColumnSpec, unit: tuple[SlabSource, np.ndarray]) -> np.n
     """
     inject_fault("unit")
     source, keep = unit
-    return ideal_column(load_slab(source), keep, spec.attr_index, spec.transform)
+    return ideal_column(
+        _shard_chunks(source, keep=keep), spec.attr_index, spec.transform
+    )
 
 
 def _gather_slab(
     needed: frozenset, source: SlabSource
 ) -> list[tuple[int, TimeSeries]]:
     """``(population index, series)`` for the shard's series in *needed*,
-    in shard order."""
+    in shard order.
+
+    Only those series' rows are copied out of the segment: store-backed
+    rows are views into the whole shard's mapping, and keeping a view
+    would pin the shard — exactly the O(population) retention the gather
+    exists to avoid.
+    """
     inject_fault("unit")
+    shard = open_slab(source)
+    bounds = np.concatenate([[0], np.cumsum(shard.lengths)])
+    attributes = shard.attributes or None
     kept: list[tuple[int, TimeSeries]] = []
-    for offset, s in enumerate(load_slab(source)):
-        idx = source.start + offset
+    for offset, idx in enumerate(range(source.start, source.stop)):
         if idx in needed:
-            # Deep-copy the arrays: store-loaded series are views into the
-            # whole shard's tensor, and keeping a view would pin the shard —
-            # exactly the O(population) retention the gather exists to avoid.
+            rows = slice(bounds[offset], bounds[offset + 1])
             kept.append(
                 (
                     idx,
                     TimeSeries(
-                        s.node,
-                        s.values.copy(),
-                        s.attributes,
-                        None if s.truth is None else s.truth.copy(),
+                        source.nodes[offset],
+                        np.array(shard.values[rows]),
+                        attributes,
+                        None if shard.truth is None else np.array(shard.truth[rows]),
                     ),
                 )
             )
@@ -362,7 +381,9 @@ class StreamingExperiment:
         loop the block path and the push service share, with every pass
         fanned over the feed's backend as one padded-block kernel pass per
         shard, and nothing retained beyond verdicts and a handful of floats
-        per series.
+        per series. Each pass reads the shard's stored row segment and cuts
+        its chunks straight from it (:func:`_shard_chunks`): no per-series
+        objects are rebuilt and no rows are re-packed.
 
         The fixed point is a pure function of the population recipe and the
         identification parameters (all fixed at construction), so it is
@@ -374,7 +395,7 @@ class StreamingExperiment:
             return self._identified
         if not hasattr(self, "attributes"):
             # Peek one shard for the attribute schema (it spills for reuse).
-            self.attributes = load_slab(self.feed.sources[0], spill=True)[0].attributes
+            self.attributes = open_slab(self.feed.sources[0], spill=True).attributes
         profile = self._map(partial(_profile_slab, _ProfileSpec(self.constraints)))
         miss = np.concatenate([m for m, _ in profile])
         inc = np.concatenate([i for _, i in profile])

@@ -16,7 +16,7 @@ from repro.data.glitch_injection import (
     InjectionShard,
     inject_shard,
 )
-from repro.data.slab import SlabFeed, SlabSource, TimeSlab, load_slab
+from repro.data.slab import SlabFeed, SlabSource, TimeSlab, load_slab, open_slab
 from repro.data.stream import TimeSeries
 from repro.data.topology import NetworkTopology, NodeId
 from repro.data.window import WindowHistory
@@ -39,5 +39,6 @@ __all__ = [
     "SlabFeed",
     "SlabSource",
     "TimeSlab",
+    "open_slab",
     "load_slab",
 ]

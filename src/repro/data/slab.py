@@ -16,11 +16,11 @@ out-of-core alternative the streaming engine runs on:
   memory-mapped columnar file (:mod:`repro.store.shards`), and later passes
   stream it back as zero-copy views instead of recomputing — the classic
   out-of-core trade (disk for memory), with ``float64`` round-tripping
-  exactly. Every shard file carries its recipe's fingerprint, and
-  :func:`load_slab` refuses to serve a file whose fingerprint does not match
-  the source in hand (a spill directory reused across configs or seeds
-  regenerates and overwrites instead of silently serving the wrong
-  population). A **disk budget** (``disk_budget=`` /
+  exactly. Every shard file carries its recipe's fingerprint (hashed once
+  per recipe, at plan time), and :func:`open_slab` refuses to serve a file
+  whose fingerprint does not match the source in hand (a spill directory
+  reused across configs or seeds regenerates and overwrites instead of
+  silently serving the wrong population). A **disk budget** (``disk_budget=`` /
   ``REPRO_DISK_BUDGET``) bounds the store: over-budget shard files are
   evicted back to their seed recipes — free correctness-wise, because
   recipes round-trip bitwise.
@@ -43,7 +43,8 @@ import tempfile
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,13 +65,17 @@ from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
 from repro.errors import DataShapeError, StoreWarning, ValidationError
 from repro.utils.rng import Seed, as_generator, snapshot_seed, spawn_sequences
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_int, check_positive_int
+
+if TYPE_CHECKING:
+    from repro.store.shards import ShardHandle
 
 __all__ = [
     "DISK_BUDGET_ENV_VAR",
     "SlabSource",
     "TimeSlab",
     "SlabFeed",
+    "open_slab",
     "load_slab",
 ]
 
@@ -86,7 +91,7 @@ class SlabSource:
     backend, in any order: the stage configs, the node identities, the
     per-series seed sequences of both stages, and the shared event-window
     mask (global state, drawn once centrally). ``store_path`` names the
-    shard's spill file; when the file exists, :func:`load_slab` streams it
+    shard's spill file; when the file exists, :func:`open_slab` streams it
     back instead of recomputing.
     """
 
@@ -105,6 +110,18 @@ class SlabSource:
     def n_series(self) -> int:
         """Number of series in the shard."""
         return self.stop - self.start
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The recipe's :func:`~repro.store.shards.recipe_fingerprint`.
+
+        Hashed once per recipe: :class:`SlabFeed` computes it at plan time,
+        and a pickled source carries it to process workers. Every
+        :func:`open_slab` still compares it with the stored header.
+        """
+        from repro.store.shards import recipe_fingerprint
+
+        return recipe_fingerprint(self)
 
 
 def _materialize(source: SlabSource) -> list[TimeSeries]:
@@ -136,56 +153,69 @@ def _materialize(source: SlabSource) -> list[TimeSeries]:
     return [dirty for dirty, _record in inject_shard(inj_unit)]
 
 
-def _spill(source: SlabSource, series: Sequence[TimeSeries]) -> None:
+def _rows(source: SlabSource) -> "ShardHandle":
+    """Regenerate the shard from its seed recipes as an in-memory row
+    segment (the layout a stored shard has)."""
+    from repro.store.shards import ShardHandle
+
+    series = _materialize(source)
+    n_attrs = series[0].n_attributes if series else 0
+    return ShardHandle(
+        path=None,
+        fingerprint=source.fingerprint,
+        attributes=series[0].attributes if series else (),
+        lengths=np.array([s.length for s in series], dtype=np.int64),
+        values=(
+            np.concatenate([s.values for s in series], axis=0)
+            if series
+            else np.empty((0, n_attrs))
+        ),
+        truth=(
+            np.concatenate([s.truth for s in series], axis=0)
+            if series and all(s.truth is not None for s in series)
+            else None
+        ),
+    )
+
+
+def _spill(source: SlabSource, shard: "ShardHandle") -> None:
     """Write the shard to its columnar spill file (atomic, fingerprinted;
     float64 round-trips exactly)."""
-    from repro.store.shards import recipe_fingerprint, write_shard
+    from repro.store.shards import write_shard
 
-    n_attrs = series[0].n_attributes if series else 0
-    lengths = np.array([s.length for s in series], dtype=np.int64)
-    values = (
-        np.concatenate([s.values for s in series], axis=0)
-        if series
-        else np.empty((0, n_attrs))
-    )
-    truth = (
-        np.concatenate([s.truth for s in series], axis=0)
-        if series and all(s.truth is not None for s in series)
-        else None
-    )
     # The directory may have been cleaned up since planning (e.g. a second
     # run() of the same engine); spilling recreates it rather than crashing.
     os.makedirs(os.path.dirname(source.store_path), exist_ok=True)
     write_shard(
         source.store_path,
-        lengths=lengths,
-        values=values,
-        truth=truth,
-        fingerprint=recipe_fingerprint(source),
-        attributes=series[0].attributes if series else (),
+        lengths=shard.lengths,
+        values=shard.values,
+        truth=shard.truth,
+        fingerprint=source.fingerprint,
+        attributes=shard.attributes,
     )
 
 
-def load_slab(source: SlabSource, spill: bool = False) -> list[TimeSeries]:
-    """The shard's dirty series — from the spill store when present,
-    regenerated from the seed recipes otherwise (bitwise-identical either
-    way).
+def open_slab(source: SlabSource, spill: bool = False) -> "ShardHandle":
+    """The shard's dirty rows as one series-concatenated segment — from the
+    spill store when present, regenerated from the seed recipes otherwise
+    (bitwise-identical either way).
 
     A stored shard is served only after its header fingerprint matches the
-    recipe in hand (:func:`repro.store.shards.recipe_fingerprint`): a stale
-    or foreign file at ``store_path`` — a spill directory reused across
+    recipe's (:attr:`SlabSource.fingerprint`), on every load: a stale or
+    foreign file at ``store_path`` — a spill directory reused across
     configs or seeds, a legacy-format leftover, a torn write — is
     regenerated from the seed recipe and **overwritten**, never silently
-    served. Store-backed series are zero-copy views into the shard's
-    memory-mapped segments (read-only; consumers that mutate must copy, as
-    the gather and cleaning paths already do).
+    served. A stored shard's segments are read-only memory maps; a
+    regenerated one is held in memory.
 
     With ``spill=True`` a regenerated shard is written to its store path so
     later passes stream instead of recompute; workers spill their own
-    disjoint files atomically, so the write needs no coordination.
+    disjoint files atomically, so the write needs no coordination. A failed
+    write (a full disk) is non-fatal: the shard is served from memory.
     """
     from repro.errors import StoreError
-    from repro.store.shards import read_shard, recipe_fingerprint
+    from repro.store.shards import read_shard
 
     stale = False
     stale_reason = ""
@@ -196,8 +226,8 @@ def load_slab(source: SlabSource, spill: bool = False) -> list[TimeSeries]:
             stale = True  # torn/legacy/corrupt file: fall back to the recipe
             stale_reason = f"unreadable ({exc})"
         else:
-            if handle.fingerprint == recipe_fingerprint(source):
-                return handle.series(source.nodes)
+            if handle.fingerprint == source.fingerprint:
+                return handle
             stale = True  # right place, wrong population: regenerate
             stale_reason = "recipe fingerprint mismatch (stale or foreign population)"
     if stale:
@@ -207,10 +237,10 @@ def load_slab(source: SlabSource, spill: bool = False) -> list[TimeSeries]:
             StoreWarning,
             stacklevel=2,
         )
-    series = _materialize(source)
+    shard = _rows(source)
     if source.store_path and (spill or stale):
         try:
-            _spill(source, series)
+            _spill(source, shard)
         except (OSError, StoreError) as exc:
             # Non-fatal: the shard is already in memory, so the pass keeps
             # its numbers; only the disk cache is missing, which later
@@ -221,7 +251,18 @@ def load_slab(source: SlabSource, spill: bool = False) -> list[TimeSeries]:
                 StoreWarning,
                 stacklevel=2,
             )
-    return series
+    return shard
+
+
+def load_slab(source: SlabSource, spill: bool = False) -> list[TimeSeries]:
+    """The shard's dirty series: :func:`open_slab`'s rows as per-series
+    views.
+
+    Store-backed series are zero-copy views into the shard's memory-mapped
+    segments (read-only; consumers that mutate must copy, as the gather and
+    cleaning paths already do).
+    """
+    return open_slab(source, spill=spill).series(source.nodes)
 
 
 @dataclass(frozen=True)
@@ -245,6 +286,27 @@ class TimeSlab:
     def width(self) -> int:
         """Number of *owned* time steps (excluding the history overlap)."""
         return self.stop - self.start
+
+
+def _resolve_disk_budget(disk_budget: Optional[int]) -> Optional[int]:
+    """The spill-store bound in bytes: the argument, else
+    ``REPRO_DISK_BUDGET``, else ``None`` (unlimited).
+
+    A malformed value raises :class:`~repro.errors.ValidationError` — a
+    budget that silently failed to apply would defeat its purpose.
+    """
+    if disk_budget is not None:
+        return check_int(disk_budget, "disk_budget")
+    raw = os.environ.get(DISK_BUDGET_ENV_VAR, "").strip()
+    if not raw:
+        return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValidationError(
+            f"{DISK_BUDGET_ENV_VAR} must be an integer byte count, got {raw!r}"
+        ) from None
+    return check_int(budget, DISK_BUDGET_ENV_VAR)
 
 
 class SlabFeed:
@@ -310,19 +372,11 @@ class SlabFeed:
         )
         self.ring_capacity = check_positive_int(ring_capacity, "ring_capacity")
         self.ring: deque[TimeSlab] = deque(maxlen=self.ring_capacity)
+        self.disk_budget = _resolve_disk_budget(disk_budget)
         self._owns_spill_dir = spill and spill_dir is None
         self.spill_dir = (
             (spill_dir or tempfile.mkdtemp(prefix="repro-slabs-")) if spill else None
         )
-        if disk_budget is None:
-            env = os.environ.get(DISK_BUDGET_ENV_VAR, "").strip()
-            if env:
-                disk_budget = int(env)
-        if disk_budget is not None and disk_budget < 0:
-            raise ValidationError(
-                f"disk_budget must be >= 0 bytes, got {disk_budget}"
-            )
-        self.disk_budget = disk_budget
         self.n_evicted = 0
         self._plan()
 
@@ -386,6 +440,8 @@ class SlabFeed:
             )
             for shard in shards
         ]
+        for source in self.sources:
+            source.fingerprint  # hash each recipe once, here, not per load
 
     # -- fan-out ----------------------------------------------------------------
 

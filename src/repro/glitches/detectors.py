@@ -283,14 +283,18 @@ def partition_by_cleanliness(
     below *max_fraction* (Section 4.1). Raises if either side ends up empty —
     the experimental framework needs both.
     """
-    from repro.core.incremental import cleanliness_fractions, outlier_fractions
+    from repro.core.incremental import (
+        cleanliness_fractions,
+        outlier_fractions,
+        series_chunks,
+    )
 
     max_fraction = check_fraction(max_fraction, "max_fraction")
     series = dataset.series
-    miss, inc = cleanliness_fractions(series, suite.constraints)
+    miss, inc = cleanliness_fractions(series_chunks(series), suite.constraints)
     verdicts = (miss < max_fraction) & (inc < max_fraction)
     if suite.outlier_detector is not None:
-        verdicts &= outlier_fractions(series, suite) < max_fraction
+        verdicts &= outlier_fractions(series_chunks(series), suite) < max_fraction
     return _partition(dataset, verdicts)
 
 
@@ -316,12 +320,16 @@ def identify_ideal(
     :func:`~repro.core.incremental.identify_fixed_point`, the one the
     streaming engine and the push service run too.
     """
-    from repro.core.incremental import cleanliness_fractions, identify_series
+    from repro.core.incremental import (
+        cleanliness_fractions,
+        identify_series,
+        series_chunks,
+    )
 
     if constraints is None:
         constraints = paper_constraints()
     series = dataset.series
-    miss, inc = cleanliness_fractions(series, constraints)
+    miss, inc = cleanliness_fractions(series_chunks(series), constraints)
     verdicts, suite = identify_series(
         series, miss, inc, constraints, transform, k, max_fraction, max_iter
     )

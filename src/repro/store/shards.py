@@ -197,14 +197,16 @@ class ShardHandle:
     cannot be mapped). Nothing is read eagerly: pages fault in as consumers
     touch them, and slicing (:meth:`series`, :meth:`block`) produces views,
     so a pass that inspects one column of one series costs exactly those
-    pages.
+    pages. A handle with ``path=None`` holds the same segments in memory:
+    :func:`~repro.data.slab.open_slab` serves a shard regenerated from its
+    recipe that way.
     """
 
     __slots__ = ("path", "fingerprint", "attributes", "lengths", "values", "truth")
 
     def __init__(
         self,
-        path: str,
+        path: Optional[str],
         fingerprint: str,
         attributes: tuple[str, ...],
         lengths: np.ndarray,

@@ -5,7 +5,11 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.core.incremental import cleanliness_fractions, outlier_fractions
+from repro.core.incremental import (
+    cleanliness_fractions,
+    outlier_fractions,
+    series_chunks,
+)
 from repro.errors import ValidationError
 from repro.glitches.constraints import (
     LowerBoundConstraint,
@@ -102,7 +106,7 @@ class TestDetectorSuite:
         expected = [
             suite.annotate(s).record_fraction(GlitchType.OUTLIER) for s in series
         ]
-        assert outlier_fractions(series, suite).tolist() == expected
+        assert outlier_fractions(series_chunks(series), suite).tolist() == expected
         assert max(expected) > 0
 
     def test_log_scale_flags_dips(self, small_bundle):
@@ -285,7 +289,7 @@ class TestTruthMaskOracle:
 
     def test_missing_fractions_equal_ledger(self, bundle):
         miss, _ = cleanliness_fractions(
-            bundle.population.series, paper_constraints()
+            series_chunks(bundle.population.series), paper_constraints()
         )
         ledger = np.array(
             [r.missing_mask.any(axis=1).mean() for r in bundle.injection.records]

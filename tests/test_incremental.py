@@ -24,6 +24,7 @@ from repro.core.incremental import (
     WindowJournal,
     cut_series_windows,
     ideal_column,
+    series_chunks,
 )
 from repro.core.streaming import StreamingExperiment
 from repro.data.dataset import StreamDataset
@@ -349,14 +350,14 @@ class TestAnalysisColumn:
     def test_transformed_column_replays_pooling(self):
         transform = ScaleTransform.log_attr1()
         s = _series(21)
-        col = ideal_column([s], [True], 0, transform)
+        col = ideal_column(series_chunks([s]), 0, transform)
         raw = s.values[:, 0]
         with np.errstate(invalid="ignore", divide="ignore"):
             expected = np.log(raw)
         expected = expected[np.isfinite(expected)]
         assert np.array_equal(col, expected)
         # Untransformed attributes: NaN drop only.
-        col2 = ideal_column([s], [True], 1, transform)
+        col2 = ideal_column(series_chunks([s]), 1, transform)
         raw2 = s.values[:, 1]
         assert np.array_equal(col2, raw2[~np.isnan(raw2)])
 

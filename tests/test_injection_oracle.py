@@ -31,6 +31,7 @@ from repro.core.incremental import (
     CHUNK_SERIES,
     cleanliness_fractions,
     outlier_fractions,
+    series_chunks,
 )
 
 
@@ -239,10 +240,10 @@ class TestZeroLengthSeries:
         attrs = tiny_bundle.population.attributes
         empty = TimeSeries(NodeId(9, 9, 9), np.empty((0, 3)), attrs)
         series = tiny_bundle.population.series + [empty]
-        miss, inc = cleanliness_fractions(series, paper_constraints())
+        miss, inc = cleanliness_fractions(series_chunks(series), paper_constraints())
         assert np.isnan(miss[-1]) and np.isnan(inc[-1])
         assert np.isfinite(miss[:-1]).all()
         partition, suite = identify_ideal(StreamDataset(series))
-        assert np.isnan(outlier_fractions(series, suite)[-1])
+        assert np.isnan(outlier_fractions(series_chunks(series), suite)[-1])
         assert len(series) - 1 in partition.dirty_indices
         assert partition.ideal_indices == tiny_bundle.partition.ideal_indices

@@ -11,6 +11,7 @@ cells back bitwise-identically without rebuilding the population.
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -355,6 +356,30 @@ class TestSpillHygiene:
                 generator_config=_TINY_GEN, seed=0, spill_dir=str(tmp_path),
                 disk_budget=-1,
             )
+
+    @pytest.mark.parametrize("raw", ["1e9", "lots", "-1"])
+    def test_malformed_disk_budget_env_var_rejected(
+        self, tmp_path, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_DISK_BUDGET", raw)
+        with pytest.raises(ValidationError, match="REPRO_DISK_BUDGET"):
+            SlabFeed(generator_config=_TINY_GEN, seed=0, spill_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "budget", [True, 2.5, float("nan"), 1e9], ids=["bool", "float", "nan", "1e9"]
+    )
+    def test_non_integer_disk_budget_rejected(self, tmp_path, budget):
+        with pytest.raises(ValidationError, match="disk_budget"):
+            SlabFeed(
+                generator_config=_TINY_GEN, seed=0, spill_dir=str(tmp_path),
+                disk_budget=budget,
+            )
+
+    def test_rejected_disk_budget_leaves_no_spill_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValidationError):
+            SlabFeed(generator_config=_TINY_GEN, seed=0, disk_budget=2.5)
+        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

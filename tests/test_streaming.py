@@ -9,21 +9,28 @@ even touch.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+import repro.core.streaming as streaming_module
 from repro.cleaning.registry import paper_strategies, strategy_by_name
 from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.framework import ExperimentConfig, ExperimentRunner
+from repro.core.incremental import RowChunk
 from repro.core.streaming import (
     StreamingExperiment,
     run_streaming_experiment,
     streaming_enabled,
 )
 from repro.data.generator import GeneratorConfig
-from repro.errors import ValidationError
-from repro.experiments.config import build_population, experiment_config
+from repro.data.slab import SlabFeed, open_slab
+from repro.errors import StoreWarning, ValidationError
+from repro.experiments.config import SCALES, build_population, experiment_config
 from repro.experiments.paper import run_experiment
+from repro.glitches.detectors import ScaleTransform, identify_ideal
+from repro.store.shards import ShardHandle, read_shard
 
 STRATEGIES = [strategy_by_name("strategy1"), strategy_by_name("strategy4")]
 
@@ -300,3 +307,211 @@ class TestSelection:
             "tiny", seed=0, config=tiny_cfg, strategies=STRATEGIES
         )
         assert len(streamed.outcomes) == tiny_cfg.n_replications * len(STRATEGIES)
+
+
+# ---------------------------------------------------------------------------
+# Identification passes over stored row segments
+# ---------------------------------------------------------------------------
+
+
+def _ideal(verdicts):
+    return np.flatnonzero(verdicts).tolist()
+
+
+def _limit_bytes(suite):
+    limits = suite.outlier_detector.limits
+    return {a: np.array(limits.bounds(a)).tobytes() for a in limits.attributes}
+
+
+def _identify(engine):
+    try:
+        return engine.identify()
+    finally:
+        engine.feed.cleanup()
+
+
+class TestChunkEdges:
+    """Shard layouts on both sides of ``CHUNK_SERIES`` (512): streamed
+    ``identify()`` equals ``identify_ideal`` on the materialised population,
+    verdicts and fitted limits bit for bit."""
+
+    RAGGED = GeneratorConfig(
+        n_rnc=2,
+        towers_per_rnc=30,
+        sectors_per_tower=10,
+        series_length=60,
+        min_length=40,
+    )
+
+    @pytest.fixture(scope="class")
+    def ragged_bundle(self):
+        return build_population(scale="tiny", seed=0, generator_config=self.RAGGED)
+
+    @pytest.mark.parametrize("shard_size", [1, 511, 512, 513, 600])
+    def test_small_shard_layouts(self, small_bundle, shard_size):
+        assert len(small_bundle.population.series) == 600  # 600 = whole
+        verdicts, suite = _identify(
+            StreamingExperiment.from_scale(
+                "small", seed=0, backend="serial", shard_size=shard_size
+            )
+        )
+        assert _ideal(verdicts) == small_bundle.partition.ideal_indices
+        assert _limit_bytes(suite) == _limit_bytes(small_bundle.suite)
+
+    @pytest.mark.parametrize("shard_size", [511, 512, 513, 600])
+    def test_ragged_shard_layouts(self, ragged_bundle, shard_size):
+        assert len(ragged_bundle.population.series) == 600
+        assert len({s.length for s in ragged_bundle.population.series}) > 1
+        verdicts, suite = _identify(
+            StreamingExperiment(
+                generator_config=self.RAGGED,
+                seed=0,
+                backend="serial",
+                shard_size=shard_size,
+            )
+        )
+        assert _ideal(verdicts) == ragged_bundle.partition.ideal_indices
+        assert _limit_bytes(suite) == _limit_bytes(ragged_bundle.suite)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [ThreadBackend(2), ProcessBackend(2, min_units=1)],
+        ids=lambda b: b.name,
+    )
+    @pytest.mark.parametrize("recipe", ["small", "ragged"])
+    def test_backends(self, small_bundle, ragged_bundle, recipe, backend):
+        if recipe == "small":
+            bundle, gen = small_bundle, SCALES["small"].generator
+        else:
+            bundle, gen = ragged_bundle, self.RAGGED
+        verdicts, suite = _identify(
+            StreamingExperiment(
+                generator_config=gen, seed=0, backend=backend, shard_size=513
+            )
+        )
+        assert _ideal(verdicts) == bundle.partition.ideal_indices
+        assert _limit_bytes(suite) == _limit_bytes(bundle.suite)
+
+    def test_log_transform_fit(self, small_bundle):
+        """The transformed fit column cut from kept segment rows pools the
+        same floats as the in-memory fit."""
+        transform = ScaleTransform.log_attr1()
+        partition, reference = identify_ideal(
+            small_bundle.population, transform=transform
+        )
+        verdicts, suite = _identify(
+            StreamingExperiment.from_scale(
+                "small", seed=0, backend="serial", shard_size=513,
+                transform=transform,
+            )
+        )
+        assert _ideal(verdicts) == partition.ideal_indices
+        assert _limit_bytes(suite) == _limit_bytes(reference)
+
+
+def _after_spill_pass(monkeypatch, hook):
+    """Run *hook* once the spill pass is done, before the fixed-point rounds
+    (the profile pass runs before ``identify_fixed_point`` is entered)."""
+    real = streaming_module.identify_fixed_point
+
+    def wrapped(*args, **kwargs):
+        hook()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(streaming_module, "identify_fixed_point", wrapped)
+
+
+class TestEveryPassChecksTheStore:
+    """The recipe fingerprint is hashed once per source, but every load still
+    compares it with the stored header."""
+
+    def _engine(self, tmp_path):
+        # A backend instance, not a name: REPRO_BACKEND must not move the
+        # passes into workers, whose warnings never reach pytest.warns.
+        return StreamingExperiment.from_scale(
+            "tiny", seed=0, backend=SerialBackend(), shard_size=31,
+            spill_dir=str(tmp_path / "spill"),
+        )
+
+    def _check_regenerated(self, tiny_bundle, engine, verdicts, suite, bad):
+        target = engine.feed.sources[1]
+        assert read_shard(target.store_path).fingerprint == target.fingerprint
+        with open(target.store_path, "rb") as fh:
+            assert fh.read() != bad
+        assert _ideal(verdicts) == tiny_bundle.partition.ideal_indices
+        assert _limit_bytes(suite) == _limit_bytes(tiny_bundle.suite)
+
+    def test_foreign_shard_swapped_in_after_spill(
+        self, tiny_bundle, tmp_path, monkeypatch
+    ):
+        engine = self._engine(tmp_path)
+        foreign = SlabFeed(
+            SCALES["tiny"].generator, seed=1, shard_size=31,
+            spill_dir=str(tmp_path / "foreign"),
+        )
+        open_slab(foreign.sources[1], spill=True)
+        with open(foreign.sources[1].store_path, "rb") as fh:
+            bad = fh.read()
+        target = engine.feed.sources[1]
+
+        def swap():
+            assert read_shard(target.store_path).fingerprint == target.fingerprint
+            with open(target.store_path, "wb") as fh:
+                fh.write(bad)
+
+        _after_spill_pass(monkeypatch, swap)
+        try:
+            with pytest.warns(StoreWarning, match="fingerprint mismatch"):
+                verdicts, suite = engine.identify()
+            self._check_regenerated(tiny_bundle, engine, verdicts, suite, bad)
+        finally:
+            engine.feed.cleanup()
+            foreign.cleanup()
+
+    def test_shard_torn_after_spill(self, tiny_bundle, tmp_path, monkeypatch):
+        engine = self._engine(tmp_path)
+        target = engine.feed.sources[1]
+        torn = []
+
+        def tear():
+            with open(target.store_path, "r+b") as fh:
+                fh.truncate(os.path.getsize(target.store_path) // 2)
+            with open(target.store_path, "rb") as fh:
+                torn.append(fh.read())
+
+        _after_spill_pass(monkeypatch, tear)
+        try:
+            with pytest.warns(StoreWarning, match="unreadable"):
+                verdicts, suite = engine.identify()
+            self._check_regenerated(tiny_bundle, engine, verdicts, suite, torn[0])
+        finally:
+            engine.feed.cleanup()
+
+
+def test_fixed_point_rebuilds_no_series_and_packs_no_rows(
+    tiny_bundle, monkeypatch
+):
+    """After the spill pass, identification reads chunk views of the stored
+    row segments: it builds no per-series views and packs no rows."""
+    calls = {"series": 0, "pack": 0}
+    armed = []
+    series, pack = ShardHandle.series, RowChunk.pack.__func__
+
+    def counted_series(self, nodes):
+        calls["series"] += bool(armed)
+        return series(self, nodes)
+
+    def counted_pack(cls, rows):
+        calls["pack"] += bool(armed)
+        return pack(cls, rows)
+
+    monkeypatch.setattr(ShardHandle, "series", counted_series)
+    monkeypatch.setattr(RowChunk, "pack", classmethod(counted_pack))
+    _after_spill_pass(monkeypatch, lambda: armed.append(True))
+    engine = StreamingExperiment.from_scale(
+        "tiny", seed=0, backend=SerialBackend(), shard_size=31
+    )
+    verdicts, _suite = _identify(engine)
+    assert armed and engine._store_passes > 2
+    assert calls == {"series": 0, "pack": 0}
+    assert _ideal(verdicts) == tiny_bundle.partition.ideal_indices
