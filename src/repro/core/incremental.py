@@ -27,17 +27,22 @@ Identification runs on one row-verdict kernel. Series are packed into
 NaN-padded ``(n, T, v)`` chunks of at most :data:`CHUNK_SERIES` series that
 carry a valid-row mask and the true lengths (:class:`RowChunk`); each
 detector flags a whole chunk in one elementwise pass, and a series' rate is
-its count of valid flagged rows (:func:`count_rows`) over its length. The
+its count of valid flagged rows (:func:`count_rows`) over its length; the
+missing and inconsistent rates count row flags directly
+(``isnan(values).any(-1)`` and
+:meth:`~repro.glitches.constraints.ConstraintSet.row_violations`). The
 batch passes (:func:`cleanliness_fractions`, :func:`outlier_fractions`,
-:func:`ideal_column`) consume chunks from either source: the block path and
-the push service pack in-memory series (:func:`series_chunks`), and the
-streaming engine's shard passes cut them straight from a stored shard's row
-segment (:func:`segment_chunks`). The live folds count through the same
-kernel: :class:`CleanlinessFold` counts each arriving window's missing and
-inconsistent rows, and :class:`GlitchFold` counts glitch cells and outlier
-rows (:func:`_glitch_counts`) per window after a suite froze, and per chunk
-when :meth:`IncrementalScorer.freeze_suite` backfills the journal. Padding
-is masked out, so ragged populations run the same passes as uniform ones.
+:func:`ideal_column`) consume chunks from either source: the block path
+packs in-memory series (:func:`series_chunks`), and the streaming engine's
+shard passes and the push service cut them straight from a row segment —
+a stored shard's, or the window journal's
+(:meth:`WindowJournal.segment`) — with :func:`segment_chunks`. The live
+folds count through the same kernel: :class:`CleanlinessFold` counts each
+arriving window's missing and inconsistent rows, and :class:`GlitchFold`
+counts glitch cells and outlier rows (:func:`_glitch_counts`) per window
+after a suite froze, and per chunk when the journal is backfilled at a
+freeze. Padding is masked out, so ragged populations run the same passes
+as uniform ones.
 
 The distortion fold inherits the mergeable-accumulator guarantees of
 :class:`~repro.distance.histogram.HistogramAccumulator` and
@@ -114,18 +119,31 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _count_flagged(rows: np.ndarray, valid: Optional[np.ndarray]) -> np.ndarray:
+    """Per series, its real rows among the ``(..., T)`` row flags *rows*
+    (consumed in place).
+
+    One window's flags count through ``np.count_nonzero``, which is several
+    times cheaper per call than a reduction; with an axis it is not, so
+    padded chunks sum along it. Both are the same exact integers.
+    """
+    if valid is not None:
+        rows &= valid
+    return rows.sum(axis=-1) if rows.ndim > 1 else np.count_nonzero(rows)
+
+
 def count_rows(cells: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
-    """The row-verdict kernel: per series, its real rows with a flagged cell.
+    """The row-verdict kernel over cells: per series, its real rows with a
+    flagged cell.
 
     *cells* is a cell-verdict tensor whose last two axes are ``(T, v)`` —
     one window, or a padded ``(n, T, v)`` :class:`RowChunk`; *valid* is the
     matching ``(..., T)`` real-row mask (``None``: every row is real). The
-    counts are exact integers.
+    counts are exact integers. The outlier and glitch passes count through
+    it; the cleanliness rates reduce to row flags without a cell tensor
+    (:func:`_cleanliness_counts`), counting the same integers.
     """
-    rows = cells.any(axis=-1)
-    if valid is not None:
-        rows &= valid
-    return rows.sum(axis=-1)
+    return _count_flagged(cells.any(axis=-1), valid)
 
 
 def _cleanliness_counts(
@@ -133,12 +151,19 @@ def _cleanliness_counts(
     attributes: tuple[str, ...],
     constraints: ConstraintSet,
     valid: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Stacked ``(missing, inconsistent)`` :func:`count_rows` of a
-    ``(..., T, v)`` value tensor."""
-    inconsistent = constraints.evaluate_values(values, attributes)
-    return np.stack(
-        [count_rows(np.isnan(values), valid), count_rows(inconsistent, valid)]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series ``(missing, inconsistent)`` row counts of a
+    ``(..., T, v)`` value tensor.
+
+    A row is missing when any cell is NaN and inconsistent when
+    :meth:`~repro.glitches.constraints.ConstraintSet.row_violations` flags
+    it — the same integers :func:`count_rows` takes from the cell masks,
+    with no ``(..., T, v)`` mask per constraint. The block, stream and push
+    passes all count through here.
+    """
+    return (
+        _count_flagged(np.isnan(values).any(axis=-1), valid),
+        _count_flagged(constraints.row_violations(values, attributes), valid),
     )
 
 
@@ -279,14 +304,15 @@ def cleanliness_fractions(
     computes them once and reuses them in every fixed-point round; the
     floats replay ``GlitchMatrix.record_fraction`` exactly.
     """
-    parts = [
-        chunk.fractions(
-            _cleanliness_counts(chunk.values, chunk.attributes, constraints, chunk.valid)
+    miss: list[np.ndarray] = []
+    inc: list[np.ndarray] = []
+    for chunk in chunks:
+        m, i = _cleanliness_counts(
+            chunk.values, chunk.attributes, constraints, chunk.valid
         )
-        for chunk in chunks
-    ]
-    miss, inc = np.concatenate(parts, axis=1) if parts else np.empty((2, 0))
-    return miss, inc
+        miss.append(chunk.fractions(m))
+        inc.append(chunk.fractions(i))
+    return np.concatenate(miss or [np.empty(0)]), np.concatenate(inc or [np.empty(0)])
 
 
 def outlier_fractions(
@@ -434,8 +460,15 @@ def identify_fixed_point(
     return verdicts, suite
 
 
+#: A population's chunk source: ``chunks(keep)`` yields, in population
+#: order, the padded chunks of the series the boolean mask *keep* selects
+#: (``None``: every series).
+ChunkSource = Callable[[Optional[np.ndarray]], Iterable[RowChunk]]
+
+
 def identify_series(
-    series: Sequence[TimeSeries],
+    chunks: ChunkSource,
+    attributes: Sequence[str],
     miss: np.ndarray,
     inc: np.ndarray,
     constraints: ConstraintSet,
@@ -444,28 +477,23 @@ def identify_series(
     max_fraction: float,
     max_iter: int,
 ) -> tuple[np.ndarray, DetectorSuite]:
-    """:func:`identify_fixed_point` over series already in memory.
+    """:func:`identify_fixed_point` over a population held in memory.
 
     The driver of the block path
-    (:func:`~repro.glitches.detectors.identify_ideal`) and the push service
-    (:meth:`IncrementalScorer.identify`). Both engine steps are padded-block
-    passes over :data:`CHUNK_SERIES`-series chunks: the fit pools each
-    attribute's :func:`ideal_column` in population order, and the verdict
-    pass is one :func:`outlier_fractions` call. Detection runs once per
-    chunk; the only per-series step left is copying rows into the block.
+    (:func:`~repro.glitches.detectors.identify_ideal`, which packs its
+    series with :func:`series_chunks`) and the push service
+    (:meth:`IncrementalScorer.identify`, which cuts the journal's row
+    segment with :func:`segment_chunks`). Both engine steps are
+    padded-block passes over the *chunks* source: the fit pools each
+    attribute's :func:`ideal_column` over the ideal series in population
+    order, and the verdict pass is one :func:`outlier_fractions` call over
+    every series. Detection runs once per chunk.
     """
-    attributes = series[0].attributes
 
     def fit_limits(verdicts: np.ndarray) -> SigmaLimits:
         return fit_sigma_limits(
             attributes,
-            lambda j, attr: [
-                ideal_column(
-                    series_chunks([s for s, keep in zip(series, verdicts) if keep]),
-                    j,
-                    transform,
-                )
-            ],
+            lambda j, attr: [ideal_column(chunks(verdicts), j, transform)],
             k,
         )
 
@@ -475,7 +503,7 @@ def identify_series(
         constraints,
         transform,
         fit_limits,
-        lambda suite: outlier_fractions(series_chunks(series), suite),
+        lambda suite: outlier_fractions(chunks(None), suite),
         max_fraction,
         max_iter,
     )
@@ -621,9 +649,14 @@ class WindowJournal:
         self._attributes: Optional[tuple[str, ...]] = None
 
     def offer(self, window: StreamWindow) -> bool:
-        """Record *window*; ``False`` (and no state change) on a duplicate."""
-        per_stream = self._streams.setdefault(window.stream_id, {})
-        if window.seq in per_stream:
+        """Record *window*; ``False`` (and no state change) on a duplicate.
+
+        A window whose attributes do not match the journal's schema raises
+        :class:`ValidationError` and leaves no trace — not even its stream
+        id.
+        """
+        per_stream = self._streams.get(window.stream_id)
+        if per_stream is not None and window.seq in per_stream:
             return False
         if self._attributes is None:
             self._attributes = tuple(window.attributes)
@@ -632,6 +665,8 @@ class WindowJournal:
                 f"window attributes {window.attributes} do not match the "
                 f"journal's {self._attributes}"
             )
+        if per_stream is None:
+            per_stream = self._streams[window.stream_id] = {}
         per_stream[window.seq] = window
         return True
 
@@ -667,9 +702,9 @@ class WindowJournal:
         delivered stream do not depend on where the missing windows sit."""
         return np.concatenate([w.values for w in self._windows(stream_id)], axis=0)
 
-    def series(self, stream_id: int) -> TimeSeries:
-        """The reassembled series of one stream (its windows must be
-        gap-free from ``seq=0``)."""
+    def _complete_windows(self, stream_id: int) -> list[StreamWindow]:
+        """One stream's windows in ``seq`` order, which must be gap-free
+        from ``seq=0``."""
         ordered = self._windows(stream_id)
         seqs = [w.seq for w in ordered]
         if seqs[-1] != len(seqs) - 1:
@@ -677,6 +712,23 @@ class WindowJournal:
                 f"stream {stream_id} has {seqs[-1] + 1 - len(seqs)} window "
                 f"gaps, first at seq {_first_gaps(seqs)}; cannot reassemble"
             )
+        return ordered
+
+    def _population_ids(self) -> list[int]:
+        """The stream ids, which must be dense (``0..n_streams-1``) — a
+        population, not a sparse sample of one."""
+        ids = self.stream_ids()
+        if ids and ids[-1] != len(ids) - 1:
+            raise ValidationError(
+                f"{ids[-1] + 1 - len(ids)} missing streams, first "
+                f"{_first_gaps(ids)}; cannot assemble the population"
+            )
+        return ids
+
+    def series(self, stream_id: int) -> TimeSeries:
+        """The reassembled series of one stream (its windows must be
+        gap-free from ``seq=0``)."""
+        ordered = self._complete_windows(stream_id)
         first = ordered[0]
         values = np.concatenate([w.values for w in ordered], axis=0)
         truth = None
@@ -687,16 +739,27 @@ class WindowJournal:
     def assemble(self) -> list[TimeSeries]:
         """Every stream reassembled, in population (stream-id) order.
 
-        Requires a dense id space ``0..n_streams-1`` — a population, not a
-        sparse sample of one.
+        Requires a dense id space ``0..n_streams-1`` and gap-free streams.
         """
-        ids = self.stream_ids()
-        if ids and ids[-1] != len(ids) - 1:
-            raise ValidationError(
-                f"{ids[-1] + 1 - len(ids)} missing streams, first "
-                f"{_first_gaps(ids)}; cannot assemble the population"
-            )
-        return [self.series(i) for i in ids]
+        return [self.series(i) for i in self._population_ids()]
+
+    def segment(self) -> tuple[np.ndarray, np.ndarray]:
+        """The population as one row segment: ``(values, lengths)``.
+
+        *values* is every stream's rows concatenated in (stream id, seq)
+        order — the series-concatenated ``(sum(lengths), v)`` layout a
+        stored shard has, which :func:`segment_chunks` cuts — and
+        *lengths* the per-stream row counts. No per-stream object is
+        built. Raises :class:`ValidationError` where :meth:`assemble`
+        does: the ids must be dense and every stream gap-free.
+        """
+        streams = [self._complete_windows(i) for i in self._population_ids()]
+        lengths = np.array(
+            [sum(w.width for w in windows) for windows in streams], dtype=np.intp
+        )
+        rows = [w.values for windows in streams for w in windows]
+        empty = np.empty((0, len(self._attributes or ())))
+        return np.concatenate(rows or [empty], axis=0), lengths
 
 
 def _first_gaps(keys: Sequence[int], limit: int = 10) -> list[int]:
@@ -725,12 +788,14 @@ class CleanlinessFold:
     records with any missing cell and records violating any constraint.
     Neither depends on a fitted detector, so the fold runs from the first
     arrival; outlier rows are :class:`GlitchFold`'s, once a suite froze.
-    The window goes through the batch passes' row-verdict kernel
-    (:func:`count_rows`) with every row real. The fractions read back as
-    ``count / n_records``, which is bitwise what the batch pass's
-    ``mask.any(axis=1).mean()`` computes (a boolean mean is an
-    exact integer sum divided by the length), so fold order and window
-    widths never show in the result.
+    The window's rows go through the batch passes' row-verdict kernel
+    (:func:`_cleanliness_counts`: ``isnan(values).any(-1)`` and
+    :meth:`~repro.glitches.constraints.ConstraintSet.row_violations`) with
+    every row real, so a fold builds no per-window series and no cell
+    mask. The fractions read back as ``count / n_records``, which is
+    bitwise what the batch pass's ``mask.any(axis=1).mean()`` computes (a
+    boolean mean is an exact integer sum divided by the length), so fold
+    order and window widths never show in the result.
     """
 
     def __init__(self, constraints: ConstraintSet):
@@ -739,12 +804,15 @@ class CleanlinessFold:
         self._inc: Dict[int, int] = {}
         self._records: Dict[int, int] = {}
 
-    def fold(self, stream_id: int, window: TimeSeries) -> None:
-        """Fold one window's rows into the stream's counters."""
+    def fold(self, stream_id: int, window: "StreamWindow | TimeSeries") -> None:
+        """Fold one window's rows into the stream's counters (anything
+        with ``values`` and ``attributes``: a window or a series)."""
         miss, inc = _cleanliness_counts(
             window.values, window.attributes, self.constraints
         )
-        self._records[stream_id] = self._records.get(stream_id, 0) + window.length
+        self._records[stream_id] = (
+            self._records.get(stream_id, 0) + window.values.shape[0]
+        )
         self._miss[stream_id] = self._miss.get(stream_id, 0) + int(miss)
         self._inc[stream_id] = self._inc.get(stream_id, 0) + int(inc)
 
@@ -812,10 +880,11 @@ class GlitchFold:
             self._out[stream_id] = out
             self._length[stream_id] = length
 
-    def fold(self, stream_id: int, window: TimeSeries) -> None:
-        """Fold one window's glitch counts into the stream's state."""
+    def fold(self, stream_id: int, window: "StreamWindow | TimeSeries") -> None:
+        """Fold one window's glitch counts into the stream's state (anything
+        with ``values`` and ``attributes``: a window or a series)."""
         cells, out = _glitch_counts(window.values, window.attributes, self.suite)
-        self._add(stream_id, cells, int(out), window.length)
+        self._add(stream_id, cells, int(out), window.values.shape[0])
 
     def fold_chunk(self, stream_ids: Sequence[int], chunk: RowChunk) -> None:
         """Fold a padded chunk, row ``i`` belonging to ``stream_ids[i]``."""
@@ -1155,21 +1224,31 @@ class IncrementalScorer:
         so freezing late — even mid-ingestion — equals having frozen before
         the first arrival.
         """
+        ids = self.journal.stream_ids()
+        self._backfill(
+            suite,
+            ids,
+            (
+                RowChunk.from_rows(
+                    [self.journal.rows(i) for i in ids[start : start + CHUNK_SERIES]],
+                    self.journal.attributes,
+                )
+                for start in range(0, len(ids), CHUNK_SERIES)
+            ),
+        )
+
+    def _backfill(
+        self, suite: DetectorSuite, ids: Sequence[int], chunks: Iterable[RowChunk]
+    ) -> None:
+        """Freeze *suite* and fold the journal into a fresh glitch fold;
+        *chunks* hold the streams *ids*, in order."""
         self.suite = suite
         self._glitch = GlitchFold(suite, self.weights)
-        ids = self.journal.stream_ids()
-        for start in range(0, len(ids), CHUNK_SERIES):
-            chunk_ids = ids[start : start + CHUNK_SERIES]
-            chunk = RowChunk.from_rows(
-                [self.journal.rows(i) for i in chunk_ids], self.journal.attributes
-            )
-            self._glitch.fold_chunk(chunk_ids, chunk)
-
-    @staticmethod
-    def _window_series(window: StreamWindow) -> TimeSeries:
-        return TimeSeries(
-            window.node, window.values, window.attributes, window.truth
-        )
+        start = 0
+        for chunk in chunks:
+            stop = start + len(chunk.lengths)
+            self._glitch.fold_chunk(ids[start:stop], chunk)
+            start = stop
 
     def fold(self, window: StreamWindow) -> WindowDelta:
         """Fold one arriving window; returns the stream's live delta."""
@@ -1177,10 +1256,9 @@ class IncrementalScorer:
         accepted = self.journal.offer(window)
         sid = window.stream_id
         if accepted:
-            w_series = self._window_series(window)
-            self.cleanliness.fold(sid, w_series)
+            self.cleanliness.fold(sid, window)
             if self._glitch is not None:
-                self._glitch.fold(sid, w_series)
+                self._glitch.fold(sid, window)
         else:
             self._duplicates += 1
         return WindowDelta(
@@ -1218,17 +1296,28 @@ class IncrementalScorer:
     ) -> tuple[np.ndarray, DetectorSuite]:
         """The ideal-set fixed point over the journaled population.
 
-        Reassembles the streams (they must be complete) and runs
-        :func:`identify_series` on them with the folded missing/inconsistent
-        fractions — the driver the block path shares, computing what the
-        pull engine computes over shard passes — so the verdicts and fitted
-        suite replay :meth:`StreamingExperiment.identify` bit for bit.
-        Freezes the fitted suite for live scoring as a side effect.
+        Takes the journal's row segment (:meth:`WindowJournal.segment`; the
+        streams must be complete) and runs :func:`identify_series` over
+        :func:`segment_chunks` of it — the cutter the streaming engine's
+        shard passes use, a zero-copy reshape for uniform streams — with
+        the folded missing/inconsistent fractions. The driver is the one
+        the block path shares, computing what the pull engine computes over
+        shard passes, so the verdicts and fitted suite replay
+        :meth:`StreamingExperiment.identify` bit for bit. Freezes the
+        fitted suite for live scoring as a side effect, backfilling the
+        glitch fold from the same chunks. No per-stream series is built
+        and no rows are packed.
         """
-        series = self.journal.assemble()
-        miss, inc = self.cleanliness.fraction_arrays(len(series))
+        values, lengths = self.journal.segment()
+        attributes = self.journal.attributes or ()
+        miss, inc = self.cleanliness.fraction_arrays(len(lengths))
+
+        def chunks(keep: Optional[np.ndarray]) -> Iterator[RowChunk]:
+            return segment_chunks(values, lengths, attributes, keep)
+
         verdicts, suite = identify_series(
-            series,
+            chunks,
+            attributes,
             miss,
             inc,
             self.constraints,
@@ -1237,5 +1326,5 @@ class IncrementalScorer:
             max_fraction,
             max_iter,
         )
-        self.freeze_suite(suite)
+        self._backfill(suite, range(len(lengths)), chunks(None))
         return verdicts, suite

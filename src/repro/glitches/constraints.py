@@ -53,6 +53,13 @@ class Constraint(ABC):
     paths bitwise-identical by construction. Subclasses that only implement
     the per-series ``evaluate`` (the original contract) still work
     everywhere: the default :meth:`evaluate_values` loops series views.
+
+    :meth:`row_violations` is the record-level verdict the cleanliness
+    rates count: a ``(..., T)`` flag per record, True when any cell of it
+    violates the rule. It defaults to ``evaluate_values(...).any(-1)``;
+    the built-ins compute the flag straight from their columns and write
+    that same flag into their attributed column for :meth:`evaluate_values`,
+    so each rule has one implementation.
     """
 
     @abstractmethod
@@ -76,6 +83,13 @@ class Constraint(ABC):
             mask[i] = self.evaluate(TimeSeries(None, values[i], tuple(attributes)))
         return mask
 
+    def row_violations(
+        self, values: np.ndarray, attributes: tuple[str, ...]
+    ) -> np.ndarray:
+        """``(..., T)`` record flags of a ``(..., T, v)`` value array: True
+        where any cell of the record violates the rule."""
+        return self.evaluate_values(values, attributes).any(axis=-1)
+
     @abstractmethod
     def describe(self) -> str:
         """One-line human-readable statement of the rule."""
@@ -97,14 +111,29 @@ class Constraint(ABC):
 
 
 class _ArrayConstraint(Constraint):
-    """Base of the built-in constraints: the array form is primary.
+    """Base of the built-in constraints: the record flag is primary.
 
-    Subclasses implement :meth:`evaluate_values`; the per-series
-    :meth:`evaluate` is the thin delegation.
+    Subclasses implement :meth:`row_violations` and attribute every
+    violation to ``self.attribute``; :meth:`evaluate_values` writes the
+    flag into that column, and the per-series :meth:`evaluate` is the thin
+    delegation. (:class:`PredicateConstraint`, whose predicate sees one
+    whole series, keeps its own :meth:`evaluate_values` and the default
+    row flag.)
     """
+
+    attribute: str
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         return self.evaluate_values(series.values, series.attributes)
+
+    def evaluate_values(
+        self, values: np.ndarray, attributes: tuple[str, ...]
+    ) -> np.ndarray:
+        mask = np.zeros(values.shape, dtype=bool)
+        j, _ = self._column_of(values, attributes, self.attribute)
+        with np.errstate(invalid="ignore"):
+            mask[..., j] = self.row_violations(values, attributes)
+        return mask
 
 
 class LowerBoundConstraint(_ArrayConstraint):
@@ -118,15 +147,12 @@ class LowerBoundConstraint(_ArrayConstraint):
         self.bound = float(bound)
         self.strict = bool(strict)
 
-    def evaluate_values(
+    def row_violations(
         self, values: np.ndarray, attributes: tuple[str, ...]
     ) -> np.ndarray:
-        mask = np.zeros(values.shape, dtype=bool)
-        j, col = self._column_of(values, attributes, self.attribute)
+        _, col = self._column_of(values, attributes, self.attribute)
         cmp = operator.le if self.strict else operator.lt
-        with np.errstate(invalid="ignore"):
-            mask[..., j] = np.isfinite(col) & cmp(col, self.bound)
-        return mask
+        return np.isfinite(col) & cmp(col, self.bound)
 
     def describe(self) -> str:
         op = ">" if self.strict else ">="
@@ -146,14 +172,11 @@ class RangeConstraint(_ArrayConstraint):
         self.low = float(low)
         self.high = float(high)
 
-    def evaluate_values(
+    def row_violations(
         self, values: np.ndarray, attributes: tuple[str, ...]
     ) -> np.ndarray:
-        mask = np.zeros(values.shape, dtype=bool)
-        j, col = self._column_of(values, attributes, self.attribute)
-        with np.errstate(invalid="ignore"):
-            mask[..., j] = np.isfinite(col) & ((col < self.low) | (col > self.high))
-        return mask
+        _, col = self._column_of(values, attributes, self.attribute)
+        return np.isfinite(col) & ((col < self.low) | (col > self.high))
 
     def describe(self) -> str:
         return f"{self.low} <= {self.attribute} <= {self.high}"
@@ -176,14 +199,12 @@ class NotPopulatedIfConstraint(_ArrayConstraint):
         self.attribute = attribute
         self.other = other
 
-    def evaluate_values(
+    def row_violations(
         self, values: np.ndarray, attributes: tuple[str, ...]
     ) -> np.ndarray:
-        mask = np.zeros(values.shape, dtype=bool)
-        j, col = self._column_of(values, attributes, self.attribute)
+        _, col = self._column_of(values, attributes, self.attribute)
         _, other_col = self._column_of(values, attributes, self.other)
-        mask[..., j] = np.isfinite(col) & np.isnan(other_col)
-        return mask
+        return np.isfinite(col) & np.isnan(other_col)
 
     def describe(self) -> str:
         return f"{self.attribute} must not be populated if {self.other} is missing"
@@ -211,17 +232,13 @@ class CrossAttributeConstraint(_ArrayConstraint):
         self.op = op
         self.other = other
 
-    def evaluate_values(
+    def row_violations(
         self, values: np.ndarray, attributes: tuple[str, ...]
     ) -> np.ndarray:
-        mask = np.zeros(values.shape, dtype=bool)
-        j, col = self._column_of(values, attributes, self.attribute)
+        _, col = self._column_of(values, attributes, self.attribute)
         _, other_col = self._column_of(values, attributes, self.other)
         both = np.isfinite(col) & np.isfinite(other_col)
-        with np.errstate(invalid="ignore"):
-            holds = self._OPS[self.op](col, other_col)
-        mask[..., j] = both & ~holds
-        return mask
+        return both & ~self._OPS[self.op](col, other_col)
 
     def describe(self) -> str:
         return f"{self.attribute} {self.op} {self.other}"
@@ -311,6 +328,25 @@ class ConstraintSet:
         for c in self._constraints:
             mask |= c.evaluate_values(values, tuple(attributes))
         return mask
+
+    def row_violations(
+        self, values: np.ndarray, attributes: tuple[str, ...]
+    ) -> np.ndarray:
+        """OR-combined ``(..., T)`` record flags of a ``(..., T, v)`` value
+        array — bitwise ``evaluate_values(...).any(-1)``, without building
+        a cell mask per constraint.
+
+        This is what the cleanliness rates count, one window or one padded
+        chunk at a time.
+        """
+        values = np.asarray(values, dtype=float)
+        attributes = tuple(attributes)
+        rows = None
+        with np.errstate(invalid="ignore"):
+            for c in self._constraints:
+                flags = c.row_violations(values, attributes)
+                rows = flags if rows is None else rows | flags
+        return np.zeros(values.shape[:-1], dtype=bool) if rows is None else rows
 
     def detect(self, series: TimeSeries) -> np.ndarray:
         """Alias of :meth:`evaluate` matching the detector protocol."""

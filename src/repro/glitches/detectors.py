@@ -329,8 +329,22 @@ def identify_ideal(
     if constraints is None:
         constraints = paper_constraints()
     series = dataset.series
-    miss, inc = cleanliness_fractions(series_chunks(series), constraints)
+
+    def chunks(keep: Optional[np.ndarray]):
+        return series_chunks(
+            series if keep is None else [s for s, kept in zip(series, keep) if kept]
+        )
+
+    miss, inc = cleanliness_fractions(chunks(None), constraints)
     verdicts, suite = identify_series(
-        series, miss, inc, constraints, transform, k, max_fraction, max_iter
+        chunks,
+        dataset.attributes,
+        miss,
+        inc,
+        constraints,
+        transform,
+        k,
+        max_fraction,
+        max_iter,
     )
     return _partition(dataset, verdicts), suite

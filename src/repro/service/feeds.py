@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from typing import AsyncIterator, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.data.window import StreamWindow
 from repro.errors import ValidationError
 from repro.testing.faults import fault_fires
 from repro.utils.rng import Seed, as_generator
 
-__all__ = ["arrival_schedule", "interleave_feeds", "simulated_feed"]
+__all__ = ["arrival_schedule", "simulated_feed"]
 
 
 def arrival_schedule(
@@ -114,23 +112,3 @@ async def simulated_feed(
                 yield w
     if held is not None:
         yield held
-
-
-def interleave_feeds(
-    per_feed: Sequence[Sequence[StreamWindow]], seed: Seed = 0
-) -> List[StreamWindow]:
-    """Deterministically interleave several feeds' in-order window lists.
-
-    Each step picks a feed (weighted by how many windows it still holds)
-    and takes its next window — per-feed order is preserved, global order
-    is the transport's. The single-consumer analogue of running the async
-    feeds concurrently.
-    """
-    rng = as_generator(seed)
-    queues = [list(w) for w in per_feed]
-    out: List[StreamWindow] = []
-    while any(queues):
-        remaining = np.array([len(q) for q in queues], dtype=float)
-        pick = int(rng.choice(len(queues), p=remaining / remaining.sum()))
-        out.append(queues[pick].pop(0))
-    return out

@@ -1,10 +1,13 @@
 """Inconsistency constraint DSL — the detector f_I."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConstraintError
 from repro.glitches.constraints import (
+    Constraint,
     ConstraintSet,
     CrossAttributeConstraint,
     LowerBoundConstraint,
@@ -126,3 +129,115 @@ class TestConstraintSet:
         cs = paper_constraints()
         assert len(cs) == 3
         assert len(list(cs)) == 3
+
+
+class EvaluateOnly(Constraint):
+    """A user constraint implementing only the per-series ``evaluate``."""
+
+    def evaluate(self, series):
+        mask = np.zeros(series.values.shape, dtype=bool)
+        col = series.values[:, 1]
+        mask[:, 1] = np.isfinite(col) & (col < 0)
+        return mask
+
+    def describe(self):
+        return "attr2 >= 0 (evaluate only)"
+
+
+ATTRS = ("attr1", "attr2", "attr3")
+#: NaN, both infinities, and every bound the constraints below use, plus
+#: values just inside and outside them.
+EDGE_VALUES = np.array(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 0.5, 1.5, 2.0, -1e-300]
+)
+
+
+def _row_kernel_constraints():
+    return [
+        LowerBoundConstraint("attr1", 0.0),
+        LowerBoundConstraint("attr1", 0.0, strict=True),
+        LowerBoundConstraint("attr2", 1.0),
+        LowerBoundConstraint("attr2", 1.0, strict=True),
+        RangeConstraint("attr3", 0.0, 1.0),
+        RangeConstraint("attr1", 0.5, 0.5),
+        NotPopulatedIfConstraint("attr1", other="attr3"),
+        NotPopulatedIfConstraint("attr3", other="attr2"),
+        *(
+            CrossAttributeConstraint("attr1", op, "attr2")
+            for op in (">=", ">", "<=", "<", "==")
+        ),
+        PredicateConstraint(
+            "attr2", lambda v: np.nan_to_num(v[:, 1]) > 1.0, "attr2 <= 1"
+        ),
+        EvaluateOnly(),
+    ]
+
+
+class TestRowKernel:
+    """``row_violations`` is the record verdict the cleanliness rates
+    count; it must equal the cell kernel's any-attribute reduction bit for
+    bit, for every built-in, a predicate and an evaluate-only subclass."""
+
+    @pytest.fixture(
+        params=[(40, 3), (4, 40, 3), (0, 3), (2, 0, 3)],
+        ids=["series", "block", "empty", "empty-block"],
+    )
+    def values(self, request):
+        rng = np.random.default_rng(sum(request.param))
+        return rng.choice(EDGE_VALUES, size=request.param)
+
+    @pytest.mark.parametrize(
+        "constraint", _row_kernel_constraints(), ids=lambda c: c.describe()
+    )
+    def test_member_rows_equal_cell_any(self, constraint, values):
+        with np.errstate(all="raise"):
+            rows = constraint.row_violations(values, ATTRS)
+            cells = constraint.evaluate_values(values, ATTRS)
+        assert rows.dtype == bool and rows.shape == values.shape[:-1]
+        assert np.array_equal(rows, cells.any(axis=-1))
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            paper_constraints(),
+            ConstraintSet(_row_kernel_constraints()),
+            ConstraintSet([]),
+        ],
+        ids=["paper", "all", "empty"],
+    )
+    def test_set_rows_equal_cell_any(self, constraints, values):
+        with np.errstate(all="raise"):
+            rows = constraints.row_violations(values, ATTRS)
+            cells = constraints.evaluate_values(values, ATTRS)
+        assert rows.dtype == bool and rows.shape == values.shape[:-1]
+        assert np.array_equal(rows, cells.any(axis=-1))
+
+    def test_edge_values_hit_every_verdict(self):
+        """The edge grid exercises both verdicts of every constraint, so an
+        equality above is not two all-False arrays."""
+        values = np.random.default_rng(43).choice(EDGE_VALUES, size=(4, 40, 3))
+        for c in _row_kernel_constraints():
+            rows = c.row_violations(values, ATTRS)
+            assert rows.any() and not rows.all(), c.describe()
+
+    def test_paper_rows_match_record_oracle(self):
+        """The built-ins share one implementation between the two kernels,
+        so check the paper's rules against a per-record oracle as well."""
+
+        def violated(a1, a3):
+            return (
+                (math.isfinite(a1) and a1 < 0.0)
+                or (math.isfinite(a3) and not 0.0 <= a3 <= 1.0)
+                or (math.isfinite(a1) and math.isnan(a3))
+            )
+
+        values = np.random.default_rng(44).choice(EDGE_VALUES, size=(400, 3))
+        expected = [violated(a1, a3) for a1, _, a3 in values.tolist()]
+        rows = paper_constraints().row_violations(values, ATTRS)
+        assert rows.tolist() == expected
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(ConstraintError):
+            LowerBoundConstraint("nope", 0.0).row_violations(
+                np.zeros((2, 3)), ATTRS
+            )

@@ -157,6 +157,44 @@ class TestJournal:
             journal.assemble()
         assert "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in str(err.value)
 
+    def test_segment_is_the_assembled_population_as_rows(self):
+        series_list = [_series(i, length=20 + 3 * i) for i in range(5)]
+        journal = WindowJournal()
+        for w in _shuffled_windows(series_list, width=6, seed=3):
+            journal.offer(w)
+        values, lengths = journal.segment()
+        assembled = journal.assemble()
+        assert lengths.tolist() == [s.length for s in assembled]
+        assert np.array_equal(
+            values, np.concatenate([s.values for s in assembled]), equal_nan=True
+        )
+        empty_values, empty_lengths = WindowJournal().segment()
+        assert empty_values.shape[0] == 0 and empty_lengths.size == 0
+
+    def test_segment_raises_what_assemble_raises(self):
+        s = _series(8)
+        windows = cut_series_windows(s, 0, 16)
+        gapped = WindowJournal()
+        gapped.offer(windows[0])
+        gapped.offer(windows[2])
+        sparse = WindowJournal()
+        for w in cut_series_windows(s, 2, 16):
+            sparse.offer(w)
+        for journal, message in ((gapped, "gaps"), (sparse, "missing streams")):
+            with pytest.raises(ValidationError, match=message) as by_assemble:
+                journal.assemble()
+            with pytest.raises(ValidationError, match=message) as by_segment:
+                journal.segment()
+            assert str(by_segment.value) == str(by_assemble.value)
+
+    def test_rejected_schema_registers_no_stream(self):
+        journal = WindowJournal()
+        journal.offer(StreamWindow(0, 0, np.zeros((4, 3)), ATTRS))
+        with pytest.raises(ValidationError, match="attributes"):
+            journal.offer(StreamWindow(1, 0, np.zeros((4, 3)), ("a", "b", "c")))
+        assert journal.n_streams == 1 and journal.stream_ids() == [0]
+        assert len(journal.assemble()) == 1
+
     def test_rows_concatenate_in_seq_order_across_gaps(self):
         s = _series(7, length=40)
         journal = WindowJournal()

@@ -15,11 +15,16 @@ import pytest
 from repro.cleaning.registry import strategy_by_name
 from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.framework import ExperimentConfig
+from repro.core.glitch_index import series_glitch_score
+from repro.core.incremental import RowChunk, WindowJournal, count_rows
 from repro.core.streaming import StreamingExperiment
 from repro.data.generator import GeneratorConfig
 from repro.data.slab import SlabFeed
+from repro.data.stream import TimeSeries
+from repro.data.window import StreamWindow
 from repro.errors import ValidationError
 from repro.experiments.config import SCALES
+from repro.glitches.constraints import paper_constraints
 from repro.service import (
     AlertSink,
     IngestionService,
@@ -35,6 +40,14 @@ from repro.store.catalog import Catalog, population_recipe_key
 from repro.testing.faults import FaultPlan, install_plan
 
 STRATEGIES = [strategy_by_name("strategy1"), strategy_by_name("strategy4")]
+#: A ragged population: series lengths vary between 40 and 60 steps.
+RAGGED = GeneratorConfig(
+    n_rnc=2,
+    towers_per_rnc=5,
+    sectors_per_tower=10,
+    series_length=60,
+    min_length=40,
+)
 
 
 def _key(o):
@@ -131,18 +144,11 @@ class TestArrivalOrderInvariance:
         assert results[0] == results[1]
 
     def test_ragged_population_identity(self):
-        ragged = GeneratorConfig(
-            n_rnc=2,
-            towers_per_rnc=5,
-            sectors_per_tower=10,
-            series_length=60,
-            min_length=40,
-        )
         cfg = ExperimentConfig(n_replications=2, sample_size=8, seed=5)
         reference = StreamingExperiment(
-            generator_config=ragged, seed=0, config=cfg
+            generator_config=RAGGED, seed=0, config=cfg
         ).run(STRATEGIES)
-        windows = _windows(generator_config=ragged, width=13)
+        windows = _windows(generator_config=RAGGED, width=13)
         session = MonitoringSession(config=cfg)
         session.ingest_all(
             arrival_schedule(windows, seed=3, reorder=1.0, duplicate=0.2)
@@ -164,7 +170,154 @@ class TestArrivalOrderInvariance:
             assert (lo, hi) == ref_limits.bounds(attr)
 
 
+def _hostile(windows, seed=1):
+    return arrival_schedule(windows, seed=seed, reorder=1.0, duplicate=0.3, burst=3)
+
+
+def _reference_deltas(plan):
+    """``(stream_id, seq, accepted, n_records, miss, inc)`` per arrival,
+    from a dedup-and-count fold written against the cell kernel."""
+    constraints = paper_constraints()
+    seen = set()
+    counts: dict = {}
+    out = []
+    for w in plan:
+        accepted = w.key not in seen
+        if accepted:
+            seen.add(w.key)
+            records, miss, inc = counts.get(w.stream_id, (0, 0, 0))
+            counts[w.stream_id] = (
+                records + w.values.shape[0],
+                miss + int(count_rows(np.isnan(w.values))),
+                inc
+                + int(
+                    count_rows(constraints.evaluate_values(w.values, w.attributes))
+                ),
+            )
+        records, miss, inc = counts.get(w.stream_id, (0, 0, 0))
+        out.append(
+            (
+                w.stream_id,
+                w.seq,
+                accepted,
+                records,
+                miss / records if records else 0.0,
+                inc / records if records else 0.0,
+            )
+        )
+    return out
+
+
+@pytest.fixture()
+def object_counts(monkeypatch):
+    """Counts of TimeSeries builds, journal reassemblies and row packs,
+    taken while ``armed`` is set."""
+    calls = {"series": 0, "assemble": 0, "pack": 0, "from_rows": 0}
+    armed = []
+    init = TimeSeries.__init__
+    assemble = WindowJournal.assemble
+    pack, from_rows = RowChunk.pack.__func__, RowChunk.from_rows.__func__
+
+    def counted_init(self, *args, **kwargs):
+        calls["series"] += bool(armed)
+        init(self, *args, **kwargs)
+
+    def counted_assemble(self):
+        calls["assemble"] += bool(armed)
+        return assemble(self)
+
+    def counted_pack(cls, series):
+        calls["pack"] += bool(armed)
+        return pack(cls, series)
+
+    def counted_from_rows(cls, rows, attributes):
+        calls["from_rows"] += bool(armed)
+        return from_rows(cls, rows, attributes)
+
+    monkeypatch.setattr(TimeSeries, "__init__", counted_init)
+    monkeypatch.setattr(WindowJournal, "assemble", counted_assemble)
+    monkeypatch.setattr(RowChunk, "pack", classmethod(counted_pack))
+    monkeypatch.setattr(RowChunk, "from_rows", classmethod(counted_from_rows))
+    return calls, armed
+
+
+class TestPushPathObjects:
+    """The push path folds windows as they are and identifies straight off
+    the journal's row segment: no per-window series, no reassembly, no row
+    packing — and the same numbers as the cell kernel and the batch
+    engine."""
+
+    def test_fold_matches_cell_kernel_reference(self, tiny_cfg, tiny_windows):
+        plan = _hostile(tiny_windows)
+        session = MonitoringSession(config=tiny_cfg)
+        deltas = session.ingest_all(plan)
+        assert [
+            (
+                d.stream_id,
+                d.seq,
+                d.accepted,
+                d.n_records,
+                d.miss_fraction,
+                d.inc_fraction,
+            )
+            for d in deltas
+        ] == _reference_deltas(plan)
+        assert [d.arrival for d in deltas] == list(range(1, len(plan) + 1))
+        assert all(d.glitch_score is None for d in deltas)
+        assert sum(not d.accepted for d in deltas) == len(plan) - len(tiny_windows)
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    def test_ingest_and_identify_build_no_series_and_pack_no_rows(
+        self, tiny_cfg, tiny_windows, batch_reference, object_counts, ragged
+    ):
+        calls, armed = object_counts
+        if ragged:
+            windows = _windows(generator_config=RAGGED, width=13)
+            reference = StreamingExperiment(
+                generator_config=RAGGED, seed=0, config=tiny_cfg
+            ).run(STRATEGIES)
+        else:
+            windows, reference = tiny_windows, batch_reference
+        session = MonitoringSession(config=tiny_cfg)
+        armed.append(True)
+        session.ingest_all(_hostile(windows))
+        verdicts, suite = session.identify()
+        armed.clear()
+        assert calls == {"series": 0, "assemble": 0, "pack": 0, "from_rows": 0}
+        assert np.flatnonzero(verdicts).tolist() == reference.ideal_indices
+        assert np.flatnonzero(~verdicts).tolist() == reference.dirty_indices
+        ref_limits = reference.suite.outlier_detector.limits
+        for attr, bounds in suite.outlier_detector.limits.items():
+            assert bounds == ref_limits.bounds(attr)
+        # The suite-freeze backfill folded the segment's chunks: every
+        # stream's live score is its whole series' batch score.
+        journal = session.scorer.journal
+        for i in journal.stream_ids():
+            matrix = suite.annotate(journal.series(i))
+            assert session.scorer.glitch_score(i) == series_glitch_score(matrix)
+        assert _keys(session.finalize(STRATEGIES)) == _keys(reference.result)
+
+
 class TestSessionMechanics:
+    def test_rejected_window_leaves_no_phantom_stream(
+        self, tiny_cfg, tiny_windows, batch_reference
+    ):
+        """A window with the wrong attribute schema from a stream id the
+        journal has not seen is rejected without registering that stream,
+        so the otherwise complete population still identifies and
+        finalizes."""
+        session = MonitoringSession(config=tiny_cfg)
+        session.ingest_all(tiny_windows)
+        n, ids = session.n_streams, session.scorer.journal.stream_ids()
+        stranger = StreamWindow(n, 0, np.zeros((4, 3)), ("x", "y", "z"))
+        with pytest.raises(ValidationError, match="attributes"):
+            session.ingest(stranger)
+        assert session.n_streams == n
+        assert session.scorer.journal.stream_ids() == ids
+        verdicts, _suite = session.identify()
+        assert np.flatnonzero(verdicts).tolist() == batch_reference.ideal_indices
+        assert _keys(session.finalize(STRATEGIES)) == _keys(batch_reference.result)
+
     def test_seed_must_be_int(self):
         with pytest.raises(ValidationError, match="int ExperimentConfig.seed"):
             MonitoringSession(
