@@ -80,7 +80,7 @@ from repro.core.framework import (
 from repro.core.glitch_index import GlitchWeights
 from repro.sampling.replication import (
     ParentGather,
-    TestPair,
+    iter_test_pairs,
     replication_index_streams,
 )
 from repro.stats.descriptive import sigma_limits
@@ -108,7 +108,6 @@ __all__ = [
     "identify_fixed_point",
     "identify_series",
     "fit_sigma_limits",
-    "build_parent_gathers",
     "iter_test_pairs",
     "run_replications",
 ]
@@ -391,12 +390,13 @@ def fit_sigma_limits(
     analysis-scale columns **in population order** — the concatenation
     order is part of the bitwise contract (``np.mean`` accumulates
     pairwise, so the pooled column must be assembled identically by every
-    engine). Peak memory is one attribute's pooled column.
+    engine). Peak memory is one attribute's pooled column: a single part
+    is fitted as is, never copied again.
     """
     limits: dict[str, tuple[float, float]] = {}
     for j, attr in enumerate(attributes):
         cols = list(columns(j, attr))
-        col = np.concatenate(cols or [np.empty(0)])
+        col = cols[0] if len(cols) == 1 else np.concatenate(cols or [np.empty(0)])
         limits[attr] = sigma_limits(col, k=k)
     return SigmaLimits(limits)
 
@@ -514,64 +514,6 @@ def identify_series(
 # ---------------------------------------------------------------------------
 
 
-def build_parent_gathers(
-    dirty_idx: Sequence[int],
-    ideal_idx: Sequence[int],
-    entries: Dict[int, TimeSeries],
-    lengths: np.ndarray,
-) -> tuple[ParentGather, ParentGather, bool]:
-    """Both sides' :class:`ParentGather` stand-ins plus the layout decision.
-
-    *entries* maps population index → series for (at least) every series
-    the replication draws touch; *lengths* holds every series' length so
-    the uniform-layout decision matches the **population**, not the
-    gathered subset — both engines must take the same block/per-series
-    branch for the evaluation arithmetic to be shared.
-    """
-    dirty_gather = ParentGather(
-        n_total=len(dirty_idx),
-        entries={
-            pos: entries[idx]
-            for pos, idx in enumerate(dirty_idx)
-            if idx in entries
-        },
-        uniform=bool((lengths[list(dirty_idx)] == lengths[dirty_idx[0]]).all()),
-    )
-    ideal_gather = ParentGather(
-        n_total=len(ideal_idx),
-        entries={
-            pos: entries[idx]
-            for pos, idx in enumerate(ideal_idx)
-            if idx in entries
-        },
-        uniform=bool((lengths[list(ideal_idx)] == lengths[ideal_idx[0]]).all()),
-    )
-    use_block = dirty_gather.block_layout and ideal_gather.block_layout
-    return dirty_gather, ideal_gather, use_block
-
-
-def iter_test_pairs(
-    draws: Sequence[tuple[np.ndarray, np.ndarray]],
-    dirty_gather: ParentGather,
-    ideal_gather: ParentGather,
-    use_block: bool,
-) -> Iterator[TestPair]:
-    """Materialise the replication pairs of pre-drawn index streams."""
-    for i, (d_idx, i_idx) in enumerate(draws):
-        if use_block:
-            yield TestPair(
-                index=i,
-                dirty_block=dirty_gather.sample(d_idx, block=True),
-                ideal_block=ideal_gather.sample(i_idx, block=True),
-            )
-        else:
-            yield TestPair(
-                index=i,
-                dirty=dirty_gather.sample(d_idx, block=False),
-                ideal=ideal_gather.sample(i_idx, block=False),
-            )
-
-
 def run_replications(
     dirty_idx: Sequence[int],
     ideal_idx: Sequence[int],
@@ -587,13 +529,16 @@ def run_replications(
     """Draw, gather and evaluate the replications of a verdict split.
 
     The replication loop of the engines that hold the population's
-    verdicts and series lengths rather than its parent blocks. It draws
+    verdicts and series lengths rather than its series. It draws
     the in-memory path's exact per-replication index streams
     (:func:`~repro.sampling.replication.replication_index_streams`), hands
     the set of touched population indices to *gather* (which returns
-    ``population index -> series`` for at least those), stands the two
-    parents up with :func:`build_parent_gathers`, and evaluates the pairs
-    through :func:`~repro.core.framework.run_pair_panels_stream`. The
+    ``population index -> series`` for at least those), stands each side's
+    parent up as a :class:`ParentGather` whose layout follows the whole
+    side's *lengths*, and evaluates the pairs of
+    :func:`~repro.sampling.replication.iter_test_pairs` (the per-draw loop
+    the block path shares) through
+    :func:`~repro.core.framework.run_pair_panels_stream`. The
     outcomes are therefore bitwise-identical to
     :class:`~repro.core.framework.ExperimentRunner` on the materialised
     population. Returns the result and the number of gathered series.
@@ -612,11 +557,16 @@ def run_replications(
         | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
     )
     entries = gather(needed)
-    dirty_gather, ideal_gather, use_block = build_parent_gathers(
-        dirty_idx, ideal_idx, entries, lengths
-    )
+
+    def parent(idx: Sequence[int]) -> ParentGather:
+        # A side's positions in the verdict split are its parent indices.
+        return ParentGather(
+            {pos: entries[i] for pos, i in enumerate(idx) if i in entries},
+            lengths[list(idx)],
+        )
+
     result = run_pair_panels_stream(
-        iter_test_pairs(draws, dirty_gather, ideal_gather, use_block),
+        iter_test_pairs(draws, parent(dirty_idx), parent(ideal_idx)),
         [strategies],
         config=config,
         distances=[distance],

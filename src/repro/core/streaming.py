@@ -1,8 +1,8 @@
 """The streaming slab engine — the full experiment, out of core.
 
 The materialised path builds one :class:`PopulationBundle` (every series,
-ledger and mask in memory at once) and samples replications out of whole
-parent blocks. This module runs the *same* experiment — generate → inject →
+ledger and mask in memory at once) and samples replications from it. This
+module runs the *same* experiment — generate → inject →
 identify_ideal → sample replications → clean → score — over bounded
 :mod:`slab <repro.data.slab>` passes instead, so peak memory is O(one shard)
 plus O(what the replications actually touch), never O(population):
@@ -22,8 +22,9 @@ plus O(what the replications actually touch), never O(population):
 
 The engine is contractually **bitwise-identical** to the in-memory path:
 every per-series random stream is pre-spawned by index (the PR 2 contract),
-the sigma fit replays the exact pooled-column arithmetic, and the gathered
-parents replay the exact parent-block gathers — ``tests/test_streaming.py``
+the sigma fit replays the exact pooled-column arithmetic, and replications
+are drawn by the block path's own per-draw loop from gathers that hold the
+touched series instead of every series — ``tests/test_streaming.py``
 pins outcome equality across the serial, thread and process backends.
 Select the engine with ``ExperimentConfig(streaming=True)`` or
 ``REPRO_STREAM=1`` (see :func:`streaming_enabled`).

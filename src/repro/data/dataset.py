@@ -9,7 +9,7 @@ are instances of this class.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,8 +155,7 @@ class StreamDataset:
         Requires a uniform series length (``T_ijk`` equal for every member);
         ragged data sets raise :class:`~repro.errors.DataShapeError` and stay
         on the per-series path. The ground-truth tensor is included only when
-        every member series carries one. Use :meth:`try_to_block` for the
-        non-raising form.
+        every member series carries one.
         """
         lengths = {s.length for s in self._series}
         if len(lengths) != 1:
@@ -173,13 +172,6 @@ class StreamDataset:
             nodes=tuple(s.node for s in self._series),
             truth=truth,
         )
-
-    def try_to_block(self) -> Optional[SampleBlock]:
-        """:meth:`to_block`, or ``None`` when the layout does not apply."""
-        try:
-            return self.to_block()
-        except DataShapeError:
-            return None
 
     @staticmethod
     def from_block(block: SampleBlock) -> "StreamDataset":

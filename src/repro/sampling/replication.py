@@ -5,19 +5,24 @@ from the dirty data set D and the ideal data set DI, to create the test pair
 {Di, DiI}, i = 1..R. Each pair is called a replication, with B records in
 each of the data sets in the test pair."
 
-When the populations have a uniform series length, each replication is drawn
-as a **columnar sample block** (:class:`~repro.data.block.SampleBlock`): one
-C-level index gather into the parent block instead of ``B`` per-series object
-selections, and — when work units ship to process-pool workers — one array
-pickle instead of ``B`` ``TimeSeries`` pickles. The per-series ``dirty`` /
-``ideal`` data sets are materialised lazily as zero-copy views, so consumers
-of either layout see the exact same values. Ragged populations are drawn as
-per-series data sets.
+A run needs at most ``2 x R x B`` series, so a replication copies only its
+own: each side of a pair is a :class:`ParentGather` over the parent's series
+(references, no copies), and every draw stacks exactly its ``B`` drawn
+series. Uniform-length parents give **columnar sample blocks**
+(:class:`~repro.data.block.SampleBlock`) — one ``(B, T, v)`` tensor per
+side, one array pickle when work units ship to process-pool workers — whose
+per-series ``dirty`` / ``ideal`` data sets are materialised lazily as
+zero-copy views, so consumers of either layout see the exact same values.
+Ragged parents are drawn as per-series data sets. The block engine, the
+streaming engine and the push service share the draws
+(:func:`replication_index_streams`) and the per-draw loop
+(:func:`iter_test_pairs`); they differ only in which series the gathers
+hold.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "TestPair",
     "generate_test_pairs",
+    "iter_test_pairs",
     "replication_index_streams",
     "ParentGather",
 ]
@@ -110,10 +116,11 @@ def replication_index_streams(
     """Yield the ``(dirty_indices, ideal_indices)`` draws of every replication.
 
     This is the *entire* randomness of replication sampling, factored out so
-    every consumer draws it identically: :func:`generate_test_pairs` feeds
-    the indices to whole-population parents, while the streaming slab engine
-    uses the same draws to decide which few series to gather at all — the
-    two paths select bitwise-identical samples by construction. Each
+    every consumer draws it identically: :func:`generate_test_pairs` gathers
+    the drawn series from the whole in-memory parents, while the streaming
+    slab engine and the push service use the same draws to decide which few
+    series to gather at all — every path selects bitwise-identical samples
+    by construction. Each
     replication consumes its own spawned stream (dirty draw first, then
     ideal), so replication ``i`` is a function of ``(seed, i)`` alone.
     """
@@ -126,102 +133,105 @@ def replication_index_streams(
 
 
 class ParentGather:
-    """A bounded stand-in for one side's parent population.
+    """One side's parent population as replication sampling sees it.
 
-    The block path materialises the *whole* population as one parent block
-    and replications gather into it. At out-of-core scale the streaming
-    engine instead gathers only the few series any replication actually
-    touches — at most ``R x B`` distinct of them, independent of the
-    population size — and this class replays the parent-block semantics on
-    that bounded subset: ``sample(idx)`` returns exactly the
-    :class:`SampleBlock` (or per-series data set) the full parent would
-    have produced for the same index draw, series-index vector included.
+    A ``parent index -> TimeSeries`` map of references: building one copies
+    no values. The block path hands it the whole in-memory parent; the
+    streaming engine and the push service hand it only the series the
+    replications touch — at most ``R x B`` distinct of them, whatever the
+    population size. Either way, ``sample(idx)`` stacks exactly the drawn
+    series into a fresh :class:`SampleBlock` (or a per-series data set), so
+    a replication costs its own ``B`` rows and the parent is never copied.
 
     Parameters
     ----------
-    n_total:
-        Size of the (un-materialised) parent population this gather stands
-        in for; indices are validated against it.
     entries:
         ``parent index -> TimeSeries`` for every gathered series.
-    uniform:
-        Whether the *full* parent population has a uniform series length —
-        the layout decision must match the population, not the gathered
-        subset, so both paths take the same block/per-series branch.
+    lengths:
+        The length of every series of the *full* parent, in parent order.
+        Indices are validated against its size, and the gather has the
+        block layout when every length is equal: deciding on the
+        population, not the gathered subset, puts every engine on the same
+        block/per-series branch.
     """
 
-    def __init__(
-        self,
-        n_total: int,
-        entries: Mapping[int, TimeSeries],
-        uniform: bool,
-    ):
-        self.n_total = check_positive_int(n_total, "n_total")
+    def __init__(self, entries: Mapping[int, TimeSeries], lengths: Sequence[int]):
+        lengths = np.asarray(lengths)
+        self.n_total = check_positive_int(len(lengths), "parent size")
         self._entries = dict(entries)
         for idx in self._entries:
             if not 0 <= idx < self.n_total:
                 raise ValidationError(
                     f"gathered index {idx} out of range for {self.n_total} series"
                 )
-        self.uniform = bool(uniform)
-        self._block: Optional[SampleBlock] = None
-        self._rows: Optional[dict[int, int]] = None
-        if self.uniform and self._entries:
-            order = sorted(self._entries)
-            series = [self._entries[i] for i in order]
-            truth = None
-            if all(s.truth is not None for s in series):
-                truth = np.stack([s.truth for s in series])
-            self._block = SampleBlock(
-                values=np.stack([s.values for s in series]),
-                attributes=series[0].attributes,
-                nodes=tuple(s.node for s in series),
-                truth=truth,
-                indices=np.array(order, dtype=np.intp),
-            )
-            self._rows = {idx: row for row, idx in enumerate(order)}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def gathered_indices(self) -> list[int]:
-        """Parent indices present in the gather, ascending."""
-        return sorted(self._entries)
+        self.uniform = bool((lengths == lengths[0]).all())
+        # Samples carry truth only when every gathered series has one: the
+        # whole-parent rule, decided once and never per draw.
+        self._truth = all(s.truth is not None for s in self._entries.values())
 
     @property
     def block_layout(self) -> bool:
-        """Whether :meth:`sample` produces :class:`SampleBlock` parents."""
-        return self._block is not None
+        """Whether :meth:`sample` produces :class:`SampleBlock` samples."""
+        return self.uniform and bool(self._entries)
 
     def sample(self, indices: Sequence[int], block: Optional[bool] = None):
-        """The sample the full parent would yield for *indices*.
+        """The sample of the parent series at *indices* (repeats allowed).
 
         ``block=None`` follows this gather's own layout; pass ``False`` to
         force the per-series :class:`StreamDataset` form (needed when the
-        *other* side of a pair is ragged — ``generate_test_pairs`` only uses
+        *other* side of a pair is ragged — :func:`iter_test_pairs` only uses
         the block layout when both sides have it).
         """
-        idx = np.asarray(indices, dtype=np.intp)
-        missing = [int(i) for i in idx if int(i) not in self._entries]
+        idx = np.array(indices, dtype=np.intp)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValidationError("sample needs at least one index")
+        missing = [i for i in idx.tolist() if i not in self._entries]
         if missing:
             raise ValidationError(
                 f"indices {missing[:5]} were not gathered; the gather only "
                 f"holds {len(self._entries)} of {self.n_total} series"
             )
+        series = [self._entries[i] for i in idx.tolist()]
         if block is None:
-            block = self._block is not None
-        if block:
-            if self._block is None:
-                raise ValidationError("this gather has no block layout")
-            return self._block.take([self._rows[int(i)] for i in idx])
-        return StreamDataset(self._entries[int(i)] for i in idx)
+            block = self.block_layout
+        if not block:
+            return StreamDataset(series)
+        if not self.block_layout:
+            raise ValidationError("this gather has no block layout")
+        return SampleBlock(
+            values=np.stack([s.values for s in series]),
+            attributes=series[0].attributes,
+            nodes=tuple(s.node for s in series),
+            truth=np.stack([s.truth for s in series]) if self._truth else None,
+            indices=idx,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ParentGather(n_total={self.n_total}, gathered={len(self)}, "
+            f"ParentGather(n_total={self.n_total}, gathered={len(self._entries)}, "
             f"layout={'block' if self.block_layout else 'series'})"
         )
+
+
+def iter_test_pairs(
+    draws: Iterable[tuple[np.ndarray, np.ndarray]],
+    dirty: ParentGather,
+    ideal: ParentGather,
+) -> Iterator[TestPair]:
+    """The replication pairs of pre-drawn index streams.
+
+    The one per-draw loop of every engine, with the one layout rule: both
+    sides are blocks when both parents have the block layout, and
+    per-series data sets otherwise.
+    """
+    use_block = dirty.block_layout and ideal.block_layout
+    for i, (d_idx, i_idx) in enumerate(draws):
+        d = dirty.sample(d_idx, block=use_block)
+        s = ideal.sample(i_idx, block=use_block)
+        if use_block:
+            yield TestPair(index=i, dirty_block=d, ideal_block=s)
+        else:
+            yield TestPair(index=i, dirty=d, ideal=s)
 
 
 def generate_test_pairs(
@@ -238,30 +248,17 @@ def generate_test_pairs(
     property that makes sweeps over R reproducible. The paper notes "any
     value of R more than 30 is sufficient" and uses R = 50.
 
-    Uniform-length populations are converted to parent blocks once, and every
-    replication is then an index gather (``SampleBlock.take``) into them; the
-    index streams come from :func:`replication_index_streams` — shared with
-    the streaming slab engine — and are the very same ``rng.integers`` draws
-    the per-series path consumes, so the sampled values are identical in
-    either layout.
+    The index streams come from :func:`replication_index_streams` — shared
+    with the streaming engine and the push service — and each replication
+    stacks only its own drawn series out of a :class:`ParentGather` over
+    the whole parent (:func:`iter_test_pairs`); neither parent is copied.
     """
     n_pairs = check_positive_int(n_pairs, "n_pairs")
     sample_size = check_positive_int(sample_size, "sample_size")
-    dirty_block = dirty.try_to_block()
-    ideal_block = ideal.try_to_block()
     draws = replication_index_streams(
         len(dirty), len(ideal), n_pairs, sample_size, seed=seed
     )
-    for i, (d_idx, i_idx) in enumerate(draws):
-        if dirty_block is not None and ideal_block is not None:
-            yield TestPair(
-                index=i,
-                dirty_block=dirty_block.take(d_idx),
-                ideal_block=ideal_block.take(i_idx),
-            )
-        else:
-            yield TestPair(
-                index=i,
-                dirty=dirty.subset(d_idx.tolist()),
-                ideal=ideal.subset(i_idx.tolist()),
-            )
+    dirty_gather, ideal_gather = (
+        ParentGather(dict(enumerate(p)), [s.length for s in p]) for p in (dirty, ideal)
+    )
+    yield from iter_test_pairs(draws, dirty_gather, ideal_gather)

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DataShapeError, ValidationError
 from repro.glitches.types import (
     N_GLITCH_TYPES,
+    BlockGlitches,
     DatasetGlitches,
     GlitchMatrix,
     GlitchType,
@@ -112,3 +113,38 @@ class TestDatasetGlitches:
         d = DatasetGlitches([matrix])
         assert d[0] is matrix
         assert len(d) == 1
+
+
+class TestBlockRecordFractions:
+    """The one-pass ``BlockGlitches.record_fractions`` equals the per-type
+    ``record_fraction`` and the per-series ``DatasetGlitches`` rates, bit
+    for bit."""
+
+    @pytest.mark.parametrize(
+        "shape, fill",
+        [
+            ((7, 13, 3), "random"),
+            ((1, 1, 1), "random"),
+            ((4, 9, 5), "random"),
+            ((3, 0, 3), "random"),
+            ((5, 8, 3), "false"),
+            ((5, 8, 3), "true"),
+            ((2, 6, 0), "random"),
+        ],
+    )
+    def test_matches_per_type_and_per_series(self, shape, fill):
+        full = shape + (N_GLITCH_TYPES,)
+        if fill == "random":
+            bits = np.random.default_rng(sum(shape)).random(full) < 0.2
+        else:
+            bits = np.full(full, fill == "true")
+        block = BlockGlitches(bits)
+        got = block.record_fractions()
+        assert list(got) == list(GlitchType)
+        per_type = {g: block.record_fraction(g) for g in GlitchType}
+        per_series = block.to_dataset_glitches().record_fractions()
+        for g in GlitchType:
+            assert type(got[g]) is float
+            assert got[g] == per_type[g] == per_series[g]
+        if fill != "random" and shape[1]:
+            assert set(got.values()) == {1.0 if fill == "true" else 0.0}

@@ -60,7 +60,6 @@ class TestRoundTrip:
         )
         with pytest.raises(DataShapeError):
             ragged.to_block()
-        assert ragged.try_to_block() is None
 
     def test_pooled_matches_dataset_pooled(self):
         ds = _uniform_dataset()

@@ -375,6 +375,33 @@ class TestBundleCells:
         key = cell_key(cell)
         assert key.population == tiny_bundle.content_key()
 
+    def test_plan_hashes_each_bundle_once(self, cfg, tiny_bundle, monkeypatch):
+        """Every cell sharing a bundle shares one content hash per plan,
+        and the keys equal the unmemoised per-cell keys."""
+        other = build_population(scale="tiny", seed=1)
+        cells = [
+            SweepCell(name="log", config=cfg.variant(log_transform=True),
+                      bundle=tiny_bundle),
+            SweepCell(name="raw", config=cfg.variant(log_transform=False),
+                      bundle=tiny_bundle),
+            SweepCell(name="recipe", config=cfg, scale="tiny"),
+            SweepCell(name="other", config=cfg, bundle=other),
+            SweepCell(name="other2", config=cfg.variant(seed=3), bundle=other),
+        ]
+        expected = {cell.name: cell_key(cell) for cell in cells}
+        calls = []
+        original = type(tiny_bundle).content_key
+
+        def counted(bundle):
+            calls.append(bundle)
+            return original(bundle)
+
+        monkeypatch.setattr(type(tiny_bundle), "content_key", counted)
+        plan = plan_sweep(cells)
+        assert plan.keys == expected
+        assert len(calls) == 2
+        assert {id(b) for b in calls} == {id(tiny_bundle), id(other)}
+
     def test_bundle_sweep_round_trip(self, cfg, tiny_bundle, tmp_path):
         cells = [
             SweepCell(name="log", config=cfg.variant(log_transform=True),
