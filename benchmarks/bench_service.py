@@ -13,8 +13,8 @@ Two cells:
   Every outcome key must be **bitwise-identical** — this is the PR's
   acceptance gate, asserted here and recorded as ``identity_ok``.
 
-Records ``{wall_s, windows_per_s, p99_fold_us, identity_ok}`` into
-``BENCH_PR10.json``.
+Records ``{wall_s, windows_per_s, p99_fold_us, identity_ok}`` into the file
+``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_service.py
 """

@@ -5,10 +5,11 @@ module name ``conftest`` (with both ``tests/`` and ``benchmarks/`` on
 ``sys.path`` in a whole-repo pytest run, that name resolves to whichever
 directory was collected first).
 
-Every bench records its headline numbers into ``BENCH_PR10.json`` (override
-the location with ``REPRO_BENCH_JSON``) as ``name -> {wall_s, speedup,
-identity_ok}`` so the perf trajectory is machine-readable across PRs; the CI
-bench smoke prints and uploads the file on every push.
+Every bench records its headline numbers into the untracked
+``.bench_state/bench_results.json`` at the repository root (override the
+location with ``REPRO_BENCH_JSON``) as ``name -> {wall_s, speedup,
+identity_ok}``, so a bench run never dirties a tracked file; the CI bench
+smoke prints and uploads the file on every push.
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ __all__ = [
 ]
 
 
+#: Default results file: under the repository's gitignored ``.bench_state/``.
+DEFAULT_RESULTS = (
+    Path(__file__).resolve().parents[1] / ".bench_state" / "bench_results.json"
+)
+
+
 def bench_results_path() -> Path:
     """Where bench results accumulate (``REPRO_BENCH_JSON`` overrides)."""
-    return Path(os.environ.get("REPRO_BENCH_JSON", "BENCH_PR10.json"))
+    return Path(os.environ.get("REPRO_BENCH_JSON", "").strip() or DEFAULT_RESULTS)
 
 
 def record_bench(
@@ -63,6 +70,7 @@ def record_bench(
         entry["identity_ok"] = bool(identity_ok)
     entry.update(extra)
     results[name] = entry
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return entry
 

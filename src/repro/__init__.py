@@ -13,8 +13,8 @@ The library provides, end to end:
   Mahalanobis, and approximations (:mod:`repro.distance`);
 * the three-dimensional evaluation framework — glitch index, statistical
   distortion, cost sweeps, trade-off analysis (:mod:`repro.core`);
-* whole-series sampling — the replication pairs, plus uniform and
-  weighted sampling (:mod:`repro.sampling`);
+* whole-series sampling — the replication pairs, plus uniform
+  sampling (:mod:`repro.sampling`);
 * drivers for every figure and table of the paper
   (:mod:`repro.experiments`).
 

@@ -48,6 +48,7 @@ from repro.errors import (
     UnitTimeoutError,
     ValidationError,
 )
+from repro.utils.validation import check_finite
 
 __all__ = [
     "RETRIES_ENV_VAR",
@@ -145,7 +146,8 @@ def resolve_retry_policy(
     """An explicit policy wins; otherwise build one from the environment.
 
     ``REPRO_RETRIES`` sets ``max_attempts`` (min 1); ``REPRO_UNIT_TIMEOUT``
-    sets ``unit_timeout`` in seconds (unset, empty, or ``<= 0`` disables).
+    sets ``unit_timeout`` in seconds (unset, empty, or ``<= 0`` disables;
+    a non-number or non-finite value is a :class:`ValidationError`).
     """
     if policy is not None:
         return replace(policy, **overrides) if overrides else policy
@@ -161,10 +163,11 @@ def resolve_retry_policy(
     raw = os.environ.get(UNIT_TIMEOUT_ENV_VAR, "").strip()
     if raw and "unit_timeout" not in kwargs:
         try:
-            seconds = float(raw)
-        except ValueError:
+            seconds = check_finite(float(raw), UNIT_TIMEOUT_ENV_VAR)
+        except ValueError:  # not a number, or nan/inf
             raise ValidationError(
-                f"{UNIT_TIMEOUT_ENV_VAR} must be a number of seconds, got {raw!r}"
+                f"{UNIT_TIMEOUT_ENV_VAR} must be a finite number of seconds, "
+                f"got {raw!r}"
             ) from None
         kwargs["unit_timeout"] = seconds if seconds > 0 else None
     return RetryPolicy(**kwargs)

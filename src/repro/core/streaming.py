@@ -32,7 +32,6 @@ Select the engine with ``ExperimentConfig(streaming=True)`` or
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence
@@ -64,7 +63,7 @@ from repro.glitches.constraints import ConstraintSet, paper_constraints
 from repro.glitches.detectors import DetectorSuite, ScaleTransform, SigmaLimits
 from repro.testing.faults import inject_fault
 from repro.utils.rng import Seed
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_fraction, env_flag
 
 __all__ = [
     "STREAM_ENV_VAR",
@@ -88,7 +87,7 @@ def streaming_enabled(config: Optional[ExperimentConfig] = None) -> bool:
     """
     if config is not None and config.streaming is not None:
         return bool(config.streaming)
-    return os.environ.get(STREAM_ENV_VAR, "").strip().lower() in ("1", "on", "true", "yes")
+    return env_flag(STREAM_ENV_VAR, default=False)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from repro.data.glitch_injection import (
     InjectionShard,
     inject_shard,
 )
-from repro.data.slab import SlabFeed, SlabSource, TimeSlab, load_slab, open_slab
+from repro.data.slab import SlabFeed, SlabSource, load_slab, open_slab
 from repro.data.stream import TimeSeries
 from repro.data.topology import NetworkTopology, NodeId
-from repro.data.window import WindowHistory
 
 __all__ = [
     "NodeId",
@@ -27,7 +26,6 @@ __all__ = [
     "TimeSeries",
     "StreamDataset",
     "SampleBlock",
-    "WindowHistory",
     "GeneratorConfig",
     "NetworkDataGenerator",
     "GenerationShard",
@@ -38,7 +36,6 @@ __all__ = [
     "inject_shard",
     "SlabFeed",
     "SlabSource",
-    "TimeSlab",
     "open_slab",
     "load_slab",
 ]

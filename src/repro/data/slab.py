@@ -27,13 +27,11 @@ out-of-core alternative the streaming engine runs on:
 * :class:`SlabFeed` plans the shard layout (reusing
   :class:`~repro.core.pipeline.Pipeline` / ``REPRO_SHARD_SIZE``), owns the
   spill directory, fans per-shard work across the execution backend, and
-  serves **time-axis slabs**: bounded ``(n, w, v)`` :class:`SampleBlock`
-  windows cut from each shard with the same ``w``-step overlap logic as
-  :meth:`repro.data.window.WindowHistory.iter_windows`, appended into a
-  bounded ring for windowed consumers.
+  serves the shards one at a time — as series, or cut into the
+  :class:`~repro.data.window.StreamWindow` sequences a push service
+  ingests.
 
-Peak memory of any pass over a feed is O(one shard) + O(ring), never
-O(population).
+Peak memory of any pass over a feed is O(one shard), never O(population).
 """
 
 from __future__ import annotations
@@ -41,14 +39,12 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.data.block import SampleBlock
 from repro.data.generator import (
     GenerationShard,
     GeneratorConfig,
@@ -63,9 +59,9 @@ from repro.data.glitch_injection import (
 )
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
-from repro.errors import DataShapeError, StoreWarning, ValidationError
+from repro.errors import StoreWarning, ValidationError
 from repro.utils.rng import Seed, as_generator, snapshot_seed, spawn_sequences
-from repro.utils.validation import check_int, check_positive_int
+from repro.utils.validation import check_int
 
 if TYPE_CHECKING:
     from repro.store.shards import ShardHandle
@@ -73,7 +69,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DISK_BUDGET_ENV_VAR",
     "SlabSource",
-    "TimeSlab",
     "SlabFeed",
     "open_slab",
     "load_slab",
@@ -265,29 +260,6 @@ def load_slab(source: SlabSource, spill: bool = False) -> list[TimeSeries]:
     return open_slab(source, spill=spill).series(source.nodes)
 
 
-@dataclass(frozen=True)
-class TimeSlab:
-    """One bounded ``(n, w [+ overlap], v)`` window of a shard's series.
-
-    ``block`` holds rows ``[lo, stop)`` of the time axis where
-    ``lo = max(0, start - window)`` — each step in ``[start, stop)`` can see
-    its full ``window``-step history, and nothing more is materialised
-    (the :class:`~repro.data.window.WindowShard` overlap rule).
-    ``series_start`` is the population index of the block's first row.
-    """
-
-    block: SampleBlock
-    series_start: int
-    start: int
-    stop: int
-    lo: int
-
-    @property
-    def width(self) -> int:
-        """Number of *owned* time steps (excluding the history overlap)."""
-        return self.stop - self.start
-
-
 def _resolve_disk_budget(disk_budget: Optional[int]) -> Optional[int]:
     """The spill-store bound in bytes: the argument, else
     ``REPRO_DISK_BUDGET``, else ``None`` (unlimited).
@@ -337,8 +309,6 @@ class SlabFeed:
         oldest first — back to their seed recipes (:meth:`evict`); a later
         pass regenerates them bitwise, so the budget trades compute for
         disk and never changes a number.
-    ring_capacity:
-        Bound of the time-slab ring (:attr:`ring`).
     """
 
     def __init__(
@@ -352,7 +322,6 @@ class SlabFeed:
         spill: bool = True,
         spill_dir: Optional[str] = None,
         disk_budget: Optional[int] = None,
-        ring_capacity: int = 4,
     ):
         from repro.core.pipeline import Pipeline
 
@@ -370,8 +339,6 @@ class SlabFeed:
         self.pipeline = Pipeline.coerce(
             backend, n_workers=n_workers, shard_size=shard_size
         )
-        self.ring_capacity = check_positive_int(ring_capacity, "ring_capacity")
-        self.ring: deque[TimeSlab] = deque(maxlen=self.ring_capacity)
         self.disk_budget = _resolve_disk_budget(disk_budget)
         self._owns_spill_dir = spill and spill_dir is None
         self.spill_dir = (
@@ -465,58 +432,7 @@ class SlabFeed:
         if self.disk_budget is not None:
             self.evict()
 
-    # -- time-axis slabs ---------------------------------------------------------
-
-    def iter_time_slabs(
-        self, width: int, window: int = 0, spill: bool = True
-    ) -> Iterator[TimeSlab]:
-        """Yield bounded ``(n, w, v)`` windows of every shard, in time order.
-
-        Each shard is materialised once and cut along the time axis into
-        slabs of *width* steps plus a *window*-step history overlap (the
-        ``WindowHistory.iter_windows`` rule: a slab's first owned step still
-        sees its full history; shard boundaries never truncate it). Every
-        yielded slab is appended to the bounded :attr:`ring`, so windowed
-        consumers can reach the most recent few without the feed ever
-        holding more than one shard plus the ring. Requires a uniform
-        series length (ragged shards cannot stack into one block).
-        """
-        width = check_positive_int(width, "width")
-        if window < 0:
-            raise ValidationError(f"window must be >= 0, got {window}")
-        if not self.uniform:
-            raise DataShapeError(
-                "time slabs need a uniform series length; this population "
-                "is ragged"
-            )
-        for source, series in self.iter_series(spill=spill):
-            values = np.stack([s.values for s in series])
-            truth = np.stack([s.truth for s in series])
-            attributes = series[0].attributes
-            nodes = tuple(s.node for s in series)
-            indices = np.arange(source.start, source.stop, dtype=np.intp)
-            length = values.shape[1]
-            for start in range(0, length, width):
-                stop = min(start + width, length)
-                lo = max(0, start - window)
-                # Copy the window: a view would keep the whole shard tensor
-                # alive through the ring, silently growing the documented
-                # O(ring) bound to O(ring_capacity x shard).
-                slab = TimeSlab(
-                    block=SampleBlock(
-                        values=values[:, lo:stop].copy(),
-                        attributes=attributes,
-                        nodes=nodes,
-                        truth=truth[:, lo:stop].copy(),
-                        indices=indices,
-                    ),
-                    series_start=source.start,
-                    start=start,
-                    stop=stop,
-                    lo=lo,
-                )
-                self.ring.append(slab)
-                yield slab
+    # -- stream windows ----------------------------------------------------------
 
     def iter_stream_windows(
         self, width: int, spill: bool = True

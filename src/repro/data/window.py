@@ -1,23 +1,16 @@
-"""Windowed history ``F_t^w`` over a data stream.
+"""Stream windows — a data stream delivered in contiguous chunks.
 
 Section 3.1: "In the data stream context, it is often infeasible to store all
-the data. ... In this paper we restrict ourselves to the currently available
-window F_t^w, the w time-step history up to time t-1."
-
-:class:`WindowHistory` provides exactly that view for the windowed outlier
-detector, without copying the underlying series. Ingestion is shard-aware:
-:meth:`WindowHistory.iter_windows` walks any contiguous chunk of the time
-axis, :meth:`WindowHistory.shard_bounds` plans the chunk layout, and
-:meth:`WindowHistory.map_windows` fans a per-step consumer across those
-chunks on an :class:`~repro.core.executor.ExecutionBackend` — each work unit
-carries only its slice of the stream plus the ``w``-step overlap it needs,
-so a process worker ingests its shard without ever holding the full series.
+the data." A live feed therefore arrives in pieces: :class:`StreamWindow` is
+one contiguous chunk of one stream as it reaches a push service, and
+:func:`cut_series_windows` cuts a whole series into its in-order window
+sequence (the exact inverse of seq-order concatenation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,16 +18,7 @@ from repro.data.stream import TimeSeries
 from repro.errors import ValidationError
 from repro.utils.validation import check_positive_int
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> cleaning -> data)
-    from repro.core.pipeline import Pipeline
-
-__all__ = [
-    "WindowHistory",
-    "WindowShard",
-    "ingest_window_shard",
-    "StreamWindow",
-    "cut_series_windows",
-]
+__all__ = ["StreamWindow", "cut_series_windows"]
 
 
 @dataclass(frozen=True)
@@ -152,116 +136,3 @@ def cut_series_windows(
             )
         )
     return windows
-
-
-@dataclass(frozen=True)
-class WindowShard:
-    """Picklable work unit: consume the windows of one time-axis chunk.
-
-    ``values`` holds the stream rows ``[lo, stop)`` where ``lo`` is the chunk
-    start minus the window overlap — everything the chunk's histories can
-    reach, and nothing more. ``fn(t, history)`` must be picklable (a
-    module-level callable) for the process backend.
-    """
-
-    fn: Callable[[int, np.ndarray], object]
-    values: np.ndarray
-    window: int
-    start: int
-    stop: int
-    lo: int
-
-
-def ingest_window_shard(unit: WindowShard) -> list:
-    """Apply the consumer to every time step of one :class:`WindowShard`."""
-    return [
-        unit.fn(t, unit.values[max(0, t - unit.window) - unit.lo : t - unit.lo])
-        for t in range(unit.start, unit.stop)
-    ]
-
-
-class WindowHistory:
-    """Sliding ``w``-step history view over a :class:`TimeSeries`.
-
-    ``history(t)`` returns the rows for times ``t-w .. t-1`` (clipped at the
-    start of the stream), i.e. the information set available *before*
-    observing ``X^t``.
-    """
-
-    def __init__(self, series: TimeSeries, window: int):
-        self.series = series
-        self.window = check_positive_int(window, "window")
-
-    def history(self, t: int) -> np.ndarray:
-        """Rows of the stream in ``[max(0, t-w), t)``; empty at ``t == 0``."""
-        if not 0 <= t <= self.series.length:
-            raise IndexError(f"t={t} outside [0, {self.series.length}]")
-        start = max(0, t - self.window)
-        return self.series.values[start:t]
-
-    def history_column(self, t: int, attribute: str) -> np.ndarray:
-        """Windowed history of a single attribute."""
-        j = self.series.attribute_index(attribute)
-        return self.history(t)[:, j]
-
-    def iter_windows(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(t, history_rows)`` for ``t`` in ``[start, stop)``.
-
-        With the defaults this covers the whole stream; bounded calls walk
-        one shard of the time axis (each step still sees its full ``w``-step
-        history — shard boundaries never truncate the window).
-        """
-        stop = self.series.length if stop is None else stop
-        if not 0 <= start <= stop <= self.series.length:
-            raise ValidationError(
-                f"bad window range [{start}, {stop}) for length {self.series.length}"
-            )
-        for t in range(start, stop):
-            yield t, self.history(t)
-
-    def shard_bounds(self, shard_size: Optional[int] = None) -> list[tuple[int, int]]:
-        """Contiguous ``(start, stop)`` chunks covering the time axis.
-
-        The layout comes from :func:`repro.core.pipeline.plan_shards`
-        (``REPRO_SHARD_SIZE`` applies) and is a pure scheduling choice.
-        """
-        from repro.core.pipeline import plan_shards
-
-        return plan_shards(self.series.length, shard_size)
-
-    def map_windows(
-        self,
-        fn: Callable[[int, np.ndarray], object],
-        backend=None,
-        shard_size: Optional[int] = None,
-    ) -> list:
-        """``[fn(t, history(t)) for t]`` fanned across an execution backend.
-
-        The streaming analogue of :meth:`iter_windows`: the time axis is cut
-        into :meth:`shard_bounds` chunks and each :class:`WindowShard` ships
-        only its rows plus the ``w``-step overlap. *fn* must be pure and
-        picklable; results come back in time order on every backend.
-        """
-        from repro.core.pipeline import Pipeline
-
-        pipeline = Pipeline.coerce(backend, shard_size=shard_size)
-        values = self.series.values
-        units = []
-        for start, stop in self.shard_bounds(pipeline.shard_size):
-            lo = max(0, start - self.window)
-            units.append(
-                WindowShard(
-                    fn=fn,
-                    values=values[lo:stop],
-                    window=self.window,
-                    start=start,
-                    stop=stop,
-                    lo=lo,
-                )
-            )
-        results: list = []
-        for chunk in pipeline.backend.map(ingest_window_shard, units):
-            results.extend(chunk)
-        return results

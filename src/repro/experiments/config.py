@@ -26,7 +26,7 @@ change only the wall clock, never the numbers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.executor import parse_backend_spec
@@ -120,7 +120,11 @@ def backend_from_env(default: Optional[str] = None) -> Optional[str]:
 
 @dataclass
 class PopulationBundle:
-    """Everything the experiment drivers need about one generated population."""
+    """Everything the experiment drivers need about one generated population.
+
+    A built bundle is immutable: nothing reassigns its fields or edits the
+    series they hold, which is what lets :meth:`content_key` hash it once.
+    """
 
     #: The pre-glitch population (truth).
     clean: StreamDataset
@@ -134,6 +138,10 @@ class PopulationBundle:
     suite: DetectorSuite
     #: The scale preset name this bundle was built with.
     scale: str
+    #: :meth:`content_key`, once computed.
+    _content_key: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dirty(self) -> StreamDataset:
@@ -177,18 +185,22 @@ class PopulationBundle:
         A SHA-256 over :meth:`fingerprint` — the bitwise-comparable
         reduction of everything the determinism contract pins — so two
         bundles share a key iff they are bitwise-identical builds, however
-        they were produced (any backend, shard layout or engine).
+        they were produced (any backend, shard layout or engine). Hashed
+        once per bundle: the hash reads every series, and the bundle is
+        immutable.
         """
-        import hashlib
+        if self._content_key is None:
+            import hashlib
 
-        fp = self.fingerprint()
-        h = hashlib.sha256()
-        for name in sorted(fp):
-            h.update(name.encode())
-            h.update(b"\x00")
-            h.update(repr(fp[name]).encode())
-            h.update(b"\x00")
-        return "content:" + h.hexdigest()
+            fp = self.fingerprint()
+            h = hashlib.sha256()
+            for name in sorted(fp):
+                h.update(name.encode())
+                h.update(b"\x00")
+                h.update(repr(fp[name]).encode())
+                h.update(b"\x00")
+            self._content_key = "content:" + h.hexdigest()
+        return self._content_key
 
 
 def build_population(

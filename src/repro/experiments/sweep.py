@@ -42,7 +42,6 @@ the default is incremental.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ from repro.cleaning.base import CleaningStrategy
 from repro.core.framework import ExperimentConfig, ExperimentResult
 from repro.errors import ExperimentError, ResilienceWarning, ValidationError
 from repro.utils.rng import Seed
+from repro.utils.validation import env_flag
 
 __all__ = [
     "SWEEP_INCREMENTAL_ENV_VAR",
@@ -86,8 +86,7 @@ def sweep_incremental_enabled(override: Optional[bool] = None) -> bool:
     """
     if override is not None:
         return bool(override)
-    raw = os.environ.get(SWEEP_INCREMENTAL_ENV_VAR, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
+    return env_flag(SWEEP_INCREMENTAL_ENV_VAR, default=True)
 
 
 # ---------------------------------------------------------------------------

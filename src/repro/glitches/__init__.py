@@ -24,8 +24,6 @@ from repro.glitches.detectors import (
 )
 from repro.glitches.missing import MissingDetector, detect_missing
 from repro.glitches.outliers import (
-    MADOutlierDetector,
-    NeighborOutlierDetector,
     SigmaLimits,
     SigmaOutlierDetector,
     WindowedOutlierDetector,
@@ -61,9 +59,7 @@ __all__ = [
     "paper_constraints",
     "SigmaLimits",
     "SigmaOutlierDetector",
-    "MADOutlierDetector",
     "WindowedOutlierDetector",
-    "NeighborOutlierDetector",
     "DetectorSuite",
     "ScaleTransform",
     "CleanlinessPartition",

@@ -147,7 +147,6 @@ class DetectorSuite:
         constraints: Optional[ConstraintSet] = None,
         transform: Optional[ScaleTransform] = None,
         k: float = 3.0,
-        robust: bool = False,
     ) -> "DetectorSuite":
         """Build the paper's suite with 3-sigma limits fitted on *ideal*.
 
@@ -155,7 +154,7 @@ class DetectorSuite:
         limits live on the analysis scale (Section 5.3).
         """
         scaled = transform.apply_dataset(ideal) if transform else ideal
-        limits = SigmaLimits.from_dataset(scaled, k=k, robust=robust)
+        limits = SigmaLimits.from_dataset(scaled, k=k)
         return cls(
             constraints=constraints,
             outlier_detector=SigmaOutlierDetector(limits),

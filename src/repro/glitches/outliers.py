@@ -4,13 +4,13 @@ The paper's case study identifies outliers "using 3-sigma limits on an
 attribute by attribute basis, where the limits are computed using ideal data
 set DI" (Section 4.1). The detector may alternatively emit p-values so users
 can move the outlyingness threshold (Section 3.3); :meth:`SigmaOutlierDetector.scores`
-provides that mode. Windowed and neighbour-conditioned variants implement the
-general form ``f_O(X^t | X^{F_t^w}, X^{F_t^w}_N)``.
+provides that mode. The windowed variant implements the self-history form
+``f_O(X^t | X^{F_t^w})``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -18,15 +18,13 @@ from scipy import stats as scipy_stats
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.errors import ValidationError
-from repro.stats.descriptive import mad, sigma_limits
+from repro.stats.descriptive import sigma_limits
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "SigmaLimits",
     "SigmaOutlierDetector",
-    "MADOutlierDetector",
     "WindowedOutlierDetector",
-    "NeighborOutlierDetector",
 ]
 
 
@@ -52,23 +50,18 @@ class SigmaLimits:
         cls,
         dataset: StreamDataset,
         k: float = 3.0,
-        robust: bool = False,
     ) -> "SigmaLimits":
-        """Compute ``mean +/- k*sd`` (or ``median +/- k*MAD``) per attribute.
+        """Compute ``mean +/- k*sd`` per attribute.
 
         NaNs (missing values) are excluded; the data set would normally be an
         ideal data set ``DI`` or an ideal replication sample ``DiI``.
         """
-        limits = {}
-        for attr in dataset.attributes:
-            col = dataset.pooled_column(attr, dropna=True)
-            if robust:
-                med = float(np.median(col))
-                spread = mad(col)
-                limits[attr] = (med - k * spread, med + k * spread)
-            else:
-                limits[attr] = sigma_limits(col, k=k)
-        return cls(limits)
+        return cls(
+            {
+                attr: sigma_limits(dataset.pooled_column(attr, dropna=True), k=k)
+                for attr in dataset.attributes
+            }
+        )
 
     @property
     def attributes(self) -> list[str]:
@@ -165,17 +158,6 @@ class SigmaOutlierDetector:
         return out
 
 
-class MADOutlierDetector(SigmaOutlierDetector):
-    """Robust variant: limits are ``median +/- k*MAD`` of the ideal data.
-
-    Provided as an ablation — the classical 3-sigma rule is itself distorted
-    by heavy tails, which is part of the paper's cautionary tale.
-    """
-
-    def __init__(self, dataset: StreamDataset, k: float = 3.0):
-        super().__init__(SigmaLimits.from_dataset(dataset, k=k, robust=True))
-
-
 class WindowedOutlierDetector:
     """Self-history detector: flags ``X^t`` far from its own window mean.
 
@@ -205,55 +187,6 @@ class WindowedOutlierDetector:
                 if not np.isfinite(x):
                     continue
                 col = hist[:, j]
-                col = col[np.isfinite(col)]
-                if col.size < self.min_history:
-                    continue
-                mu = col.mean()
-                sd = col.std(ddof=1)
-                if sd == 0:
-                    continue
-                mask[t, j] = abs(x - mu) > self.k * sd
-        return mask
-
-
-class NeighborOutlierDetector:
-    """Neighbour-conditioned detector: ``f_O(X^t | X^{F_t^w}_N)``.
-
-    A cell is flagged when it deviates from the *neighbours'* contemporaneous
-    window statistics — sectors on the same tower see the same radio
-    environment, so a lone deviant antenna is suspicious (Section 6.1's
-    topological clustering argument).
-    """
-
-    def __init__(self, window: int = 24, k: float = 3.0, min_history: int = 8):
-        self.window = check_positive_int(window, "window")
-        self.min_history = check_positive_int(min_history, "min_history")
-        if k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        self.k = float(k)
-
-    def detect(
-        self, series: TimeSeries, neighbors: Sequence[TimeSeries]
-    ) -> np.ndarray:
-        """Outlier mask of *series* given its neighbour streams."""
-        mask = np.zeros(series.values.shape, dtype=bool)
-        if not neighbors:
-            return mask
-        for t in range(series.length):
-            start = max(0, t - self.window)
-            pool = [
-                n.values[min(start, n.length) : min(t + 1, n.length)]
-                for n in neighbors
-            ]
-            pool = [p for p in pool if p.size]
-            if not pool:
-                continue
-            stacked = np.concatenate(pool, axis=0)
-            for j in range(series.n_attributes):
-                x = series.values[t, j]
-                if not np.isfinite(x):
-                    continue
-                col = stacked[:, j]
                 col = col[np.isfinite(col)]
                 if col.size < self.min_history:
                     continue

@@ -3,8 +3,8 @@
 The framework "relies on sampling [so it] will work on very large data"
 (Section 2.1.6). Whole time series are the sampling unit — "we maintained the
 temporal structure by sampling entire time series and not individual data
-points" (Section 4.2). Besides simple with-replacement sampling,
-differentially weighted sampling is provided.
+points" (Section 4.2). Replication pairs and simple with-replacement
+sampling are provided.
 """
 
 from repro.sampling.replication import (
@@ -14,7 +14,6 @@ from repro.sampling.replication import (
     replication_index_streams,
 )
 from repro.sampling.simple import sample_indices, sample_series
-from repro.sampling.weighted import weighted_sample_indices, weighted_sample_series
 
 __all__ = [
     "ParentGather",
@@ -23,6 +22,4 @@ __all__ = [
     "replication_index_streams",
     "sample_indices",
     "sample_series",
-    "weighted_sample_indices",
-    "weighted_sample_series",
 ]

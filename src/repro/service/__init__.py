@@ -14,14 +14,12 @@ from repro.service.alerts import AlertSink, AuditRecord
 from repro.service.feeds import arrival_schedule, simulated_feed
 from repro.service.session import (
     SESSION_BACKPRESSURE_ENV_VAR,
-    SESSION_RING_ENV_VAR,
     IngestionService,
     MonitoringSession,
     ReferenceFrame,
     frame_key,
     serve_windows,
     session_backpressure,
-    session_ring_capacity,
 )
 
 __all__ = [
@@ -30,12 +28,10 @@ __all__ = [
     "arrival_schedule",
     "simulated_feed",
     "SESSION_BACKPRESSURE_ENV_VAR",
-    "SESSION_RING_ENV_VAR",
     "IngestionService",
     "MonitoringSession",
     "ReferenceFrame",
     "frame_key",
     "serve_windows",
     "session_backpressure",
-    "session_ring_capacity",
 ]

@@ -3,17 +3,15 @@
 A :class:`MonitoringSession` is one tenant's experiment against one
 population, fed by push: every :class:`~repro.data.window.StreamWindow`
 arrival folds through an :class:`~repro.core.incremental.IncrementalScorer`
-(live per-stream scores, arrival-order invariant), lands in a bounded ring
-of recent windows (the :class:`~repro.data.slab.SlabFeed` ring discipline,
-sized by ``REPRO_SESSION_RING``), and leaves an audit record in the
-session's :class:`~repro.service.alerts.AlertSink`. :meth:`finalize`
-reassembles the journaled streams into the batch engine's exact inputs and
-routes them through the streaming engine's replication loop
-(:func:`~repro.core.incremental.run_replications`: index draws → gather →
-:func:`~repro.core.framework.run_pair_panels_stream`), so final outcomes are
-**bitwise-identical** to :class:`~repro.core.streaming.StreamingExperiment`
-on the same population, for every selectable distance — however hostile the
-delivery order was.
+(live per-stream scores, arrival-order invariant) and leaves an audit
+record in the session's :class:`~repro.service.alerts.AlertSink`.
+:meth:`finalize` reassembles the journaled streams into the batch engine's
+exact inputs and routes them through the streaming engine's replication
+loop (:func:`~repro.core.incremental.run_replications`: index draws →
+gather → :func:`~repro.core.framework.run_pair_panels_stream`), so final
+outcomes are **bitwise-identical** to
+:class:`~repro.core.streaming.StreamingExperiment` on the same population,
+for every selectable distance — however hostile the delivery order was.
 
 Sessions of the same population share work through the PR 6 catalog: the
 identification fixed point (ideal verdicts + fitted sigma limits) is
@@ -32,7 +30,6 @@ invariance contract absorbs.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 
@@ -65,9 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.alerts import AlertSink
 
 __all__ = [
-    "SESSION_RING_ENV_VAR",
     "SESSION_BACKPRESSURE_ENV_VAR",
-    "session_ring_capacity",
     "session_backpressure",
     "ReferenceFrame",
     "frame_key",
@@ -76,34 +71,23 @@ __all__ = [
     "serve_windows",
 ]
 
-#: Ring capacity of recent windows each session retains (default 4 — the
-#: same bound as :class:`~repro.data.slab.SlabFeed`'s time-slab ring).
-SESSION_RING_ENV_VAR = "REPRO_SESSION_RING"
-
 #: Bound of the ingestion queue between the async feeds and the folding
 #: consumer; a full queue backpressures producers (default 64).
 SESSION_BACKPRESSURE_ENV_VAR = "REPRO_SESSION_BACKPRESSURE"
 
 
-def _env_int(var: str, default: int) -> int:
-    raw = os.environ.get(var, "").strip()
+def session_backpressure(default: int = 64) -> int:
+    """The configured ingestion-queue bound (``REPRO_SESSION_BACKPRESSURE``)."""
+    raw = os.environ.get(SESSION_BACKPRESSURE_ENV_VAR, "").strip()
     if not raw:
         return default
     try:
         value = int(raw)
     except ValueError:
-        raise ValidationError(f"{var} must be an integer, got {raw!r}")
-    return check_positive_int(value, var)
-
-
-def session_ring_capacity(default: int = 4) -> int:
-    """The configured per-session ring bound (``REPRO_SESSION_RING``)."""
-    return _env_int(SESSION_RING_ENV_VAR, default)
-
-
-def session_backpressure(default: int = 64) -> int:
-    """The configured ingestion-queue bound (``REPRO_SESSION_BACKPRESSURE``)."""
-    return _env_int(SESSION_BACKPRESSURE_ENV_VAR, default)
+        raise ValidationError(
+            f"{SESSION_BACKPRESSURE_ENV_VAR} must be an integer, got {raw!r}"
+        ) from None
+    return check_positive_int(value, SESSION_BACKPRESSURE_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -178,9 +162,6 @@ class MonitoringSession:
     alerts:
         An :class:`~repro.service.alerts.AlertSink` auditing every fold;
         ``None`` disables auditing.
-    ring_capacity:
-        Bound of the recent-window ring (``REPRO_SESSION_RING`` applies
-        when ``None``).
     """
 
     def __init__(
@@ -196,7 +177,6 @@ class MonitoringSession:
         population_key: Optional[str] = None,
         catalog: Union[None, str, "Catalog"] = None,
         alerts: "Optional[AlertSink]" = None,
-        ring_capacity: Optional[int] = None,
     ):
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
@@ -221,14 +201,6 @@ class MonitoringSession:
         self.scorer = IncrementalScorer(
             self.constraints, transform=transform, weights=weights
         )
-        capacity = (
-            check_positive_int(ring_capacity, "ring_capacity")
-            if ring_capacity is not None
-            else session_ring_capacity()
-        )
-        #: The bounded ring of most-recent accepted windows — the session's
-        #: counterpart of :attr:`repro.data.slab.SlabFeed.ring`.
-        self.ring: deque[StreamWindow] = deque(maxlen=capacity)
         self._identified: Optional[tuple[np.ndarray, DetectorSuite]] = None
         self.frame_hits = 0
 
@@ -237,8 +209,6 @@ class MonitoringSession:
     def ingest(self, window: StreamWindow) -> WindowDelta:
         """Fold one pushed window; audits the delta and returns it."""
         delta = self.scorer.fold(window)
-        if delta.accepted:
-            self.ring.append(window)
         if self.alerts is not None:
             self.alerts.record(self.name, delta)
         return delta

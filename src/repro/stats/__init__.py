@@ -1,20 +1,9 @@
 """Low-level statistics utilities used throughout the library."""
 
-from repro.stats.descriptive import (
-    RunningMoments,
-    mad,
-    nan_skewness,
-    robust_sigma_limits,
-    sigma_limits,
-    winsorize_array,
-)
+from repro.stats.descriptive import sigma_limits, winsorize_array
 from repro.stats.ecdf import Ecdf, EcdfSketch
 
 __all__ = [
-    "RunningMoments",
-    "mad",
-    "nan_skewness",
-    "robust_sigma_limits",
     "sigma_limits",
     "winsorize_array",
     "Ecdf",

@@ -1,4 +1,4 @@
-"""Descriptive and robust statistics.
+"""Descriptive statistics.
 
 These helpers underpin both glitch detection (3-sigma limits computed from the
 ideal data set, Section 4.1 of the paper) and the Winsorization repair
@@ -8,72 +8,11 @@ represented as NaN throughout the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = [
-    "RunningMoments",
-    "sigma_limits",
-    "robust_sigma_limits",
-    "mad",
-    "nan_skewness",
-    "winsorize_array",
-]
-
-
-@dataclass
-class RunningMoments:
-    """Streaming mean/variance accumulator (Welford's algorithm).
-
-    Used by windowed outlier detectors that cannot afford to retain the full
-    history of a data stream (Section 3.1: analyses are restricted to the
-    current window plus summaries of past history).
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the accumulator. NaNs are ignored."""
-        if np.isnan(value):
-            return
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def update_many(self, values: np.ndarray) -> None:
-        """Fold a batch of observations into the accumulator."""
-        for v in np.asarray(values, dtype=float).ravel():
-            self.update(float(v))
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); NaN with fewer than two observations."""
-        if self.count < 2:
-            return float("nan")
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation (ddof=1)."""
-        return float(np.sqrt(self.variance))
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        """Return a new accumulator equivalent to seeing both inputs' data."""
-        if other.count == 0:
-            return RunningMoments(self.count, self.mean, self._m2)
-        if self.count == 0:
-            return RunningMoments(other.count, other.mean, other._m2)
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / total
-        m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        return RunningMoments(total, mean, m2)
+__all__ = ["sigma_limits", "winsorize_array"]
 
 
 def sigma_limits(values: np.ndarray, k: float = 3.0) -> tuple[float, float]:
@@ -94,56 +33,6 @@ def sigma_limits(values: np.ndarray, k: float = 3.0) -> tuple[float, float]:
     mean = float(finite.mean())
     std = float(finite.std(ddof=1))
     return mean - k * std, mean + k * std
-
-
-def mad(values: np.ndarray, scale: float = 1.4826) -> float:
-    """Median absolute deviation, scaled to be consistent with sigma.
-
-    The default scale factor makes MAD an unbiased estimator of the standard
-    deviation under normality.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        raise ValidationError("mad needs at least one finite value")
-    med = np.median(finite)
-    return float(scale * np.median(np.abs(finite - med)))
-
-
-def robust_sigma_limits(values: np.ndarray, k: float = 3.0) -> tuple[float, float]:
-    """``median +/- k * MAD`` limits — a robust alternative to 3-sigma.
-
-    Provided as an extension: the paper notes that the classical rule is
-    sensitive to the very outliers it hunts; a robust rule is the natural
-    ablation.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        raise ValidationError("robust_sigma_limits needs at least one finite value")
-    if k <= 0:
-        raise ValidationError(f"k must be positive, got {k}")
-    med = float(np.median(finite))
-    spread = mad(finite)
-    return med - k * spread, med + k * spread
-
-
-def nan_skewness(values: np.ndarray) -> float:
-    """Sample skewness (Fisher-Pearson, bias-uncorrected), NaN-aware.
-
-    Used by the data generator tests to assert that Attribute 1 is
-    right-skewed on the raw scale and left-skewed after the log transform
-    (Section 5.3 / Figure 4).
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    finite = arr[np.isfinite(arr)]
-    if finite.size < 3:
-        return float("nan")
-    centered = finite - finite.mean()
-    s = finite.std(ddof=0)
-    if s == 0:
-        return 0.0
-    return float(np.mean(centered**3) / s**3)
 
 
 def winsorize_array(

@@ -8,6 +8,7 @@ of deep inside numpy broadcasting.
 from __future__ import annotations
 
 import numbers
+import os
 from typing import Any
 
 import numpy as np
@@ -22,7 +23,11 @@ __all__ = [
     "check_probability",
     "ensure_1d",
     "ensure_2d",
+    "env_flag",
 ]
+
+_ON = ("1", "on", "true", "yes")
+_OFF = ("0", "off", "false", "no")
 
 
 def check_int(value: Any, name: str, minimum: int = 0) -> int:
@@ -87,3 +92,22 @@ def ensure_2d(values: Any, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     return arr
+
+
+def env_flag(var: str, default: bool) -> bool:
+    """The on/off environment variable *var*: ``1/on/true/yes`` or
+    ``0/off/false/no`` (any case); unset or empty gives *default*.
+
+    Anything else is a :class:`ValidationError` naming *var* — a switch
+    that silently read a typo as "off" would flip a run's engine unseen.
+    """
+    raw = os.environ.get(var, "").strip().lower()
+    if not raw:
+        return default
+    if raw in _ON:
+        return True
+    if raw in _OFF:
+        return False
+    raise ValidationError(
+        f"{var} must be one of {'/'.join(_ON)} or {'/'.join(_OFF)}, got {raw!r}"
+    )

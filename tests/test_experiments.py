@@ -1,5 +1,8 @@
 """Experiment drivers and reports."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.framework import ExperimentConfig, ExperimentRunner
 from repro.errors import ExperimentError
 from repro.experiments.config import (
     SCALES,
+    PopulationBundle,
     backend_from_env,
     build_population,
     experiment_config,
@@ -89,6 +93,39 @@ class TestScales:
             tiny_bundle.population
         )
         assert tiny_bundle.scale == "tiny"
+
+
+def _unmemoised_key(bundle):
+    """SHA-256 over the bundle's fingerprint, as ``content_key`` documents."""
+    fp = bundle.fingerprint()
+    h = hashlib.sha256()
+    for name in sorted(fp):
+        h.update(name.encode() + b"\x00" + repr(fp[name]).encode() + b"\x00")
+    return "content:" + h.hexdigest()
+
+
+class TestBundleKey:
+    def test_content_key_hashes_once(self, tiny_bundle, monkeypatch):
+        bundle = dataclasses.replace(tiny_bundle)  # a fresh, unhashed instance
+        calls = []
+        original = PopulationBundle.fingerprint
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PopulationBundle, "fingerprint", counted)
+        key = bundle.content_key()
+        assert bundle.content_key() == key
+        assert calls == [bundle]
+        assert key == _unmemoised_key(bundle)
+
+    def test_replaced_bundle_rehashes(self, tiny_bundle):
+        """A bundle built from another's fields by ``dataclasses.replace``
+        never inherits its key."""
+        key = tiny_bundle.content_key()
+        mixed = dataclasses.replace(tiny_bundle, clean=tiny_bundle.population)
+        assert mixed.content_key() == _unmemoised_key(mixed) != key
 
 
 class TestBackendSelection:

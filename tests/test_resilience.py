@@ -203,6 +203,13 @@ class TestRetryPolicy:
         with pytest.raises(ValidationError):
             resolve_retry_policy()
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "soon"])
+    def test_malformed_unit_timeout_rejected(self, monkeypatch, raw):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        monkeypatch.setenv("REPRO_UNIT_TIMEOUT", raw)
+        with pytest.raises(ValidationError, match="REPRO_UNIT_TIMEOUT"):
+            resolve_retry_policy()
+
     def test_resilient_is_identity_when_disabled(self):
         def fn(x):
             return x

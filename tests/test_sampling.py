@@ -1,12 +1,11 @@
-"""Sampling schemes: simple, weighted, replications."""
+"""Sampling schemes: simple, replications."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SamplingError, ValidationError
+from repro.errors import ValidationError
 from repro.sampling.replication import generate_test_pairs
 from repro.sampling.simple import sample_indices, sample_series
-from repro.sampling.weighted import weighted_sample_indices, weighted_sample_series
 
 
 class TestSimple:
@@ -29,30 +28,6 @@ class TestSimple:
     def test_rejects_zero_size(self, tiny_bundle):
         with pytest.raises(ValidationError):
             sample_series(tiny_bundle.dirty, 0)
-
-
-class TestWeighted:
-    def test_zero_weight_never_drawn(self):
-        weights = np.array([1.0, 0.0, 1.0])
-        idx = weighted_sample_indices(weights, 500, seed=0)
-        assert 1 not in idx
-
-    def test_proportionality(self):
-        weights = np.array([1.0, 3.0])
-        idx = weighted_sample_indices(weights, 40000, seed=0)
-        assert (idx == 1).mean() == pytest.approx(0.75, abs=0.02)
-
-    def test_rejects_negative(self):
-        with pytest.raises(SamplingError):
-            weighted_sample_indices(np.array([-1.0, 2.0]), 5)
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(SamplingError):
-            weighted_sample_indices(np.array([0.0, 0.0]), 5)
-
-    def test_series_wrapper_checks_length(self, tiny_bundle):
-        with pytest.raises(SamplingError):
-            weighted_sample_series(tiny_bundle.dirty, np.ones(3), 5)
 
 
 class TestReplications:

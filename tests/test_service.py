@@ -33,7 +33,6 @@ from repro.service import (
     frame_key,
     serve_windows,
     session_backpressure,
-    session_ring_capacity,
     simulated_feed,
 )
 from repro.store.catalog import Catalog, population_recipe_key
@@ -324,24 +323,17 @@ class TestSessionMechanics:
                 config=ExperimentConfig(seed=np.random.SeedSequence(3))
             )
 
-    def test_ring_is_bounded_and_recent(self, tiny_cfg, tiny_windows):
-        session = MonitoringSession(config=tiny_cfg, ring_capacity=3)
-        session.ingest_all(tiny_windows)
-        assert len(session.ring) == 3
-        assert [w.key for w in session.ring] == [
-            w.key for w in tiny_windows[-3:]
-        ]
-
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SESSION_RING", "7")
+        monkeypatch.delenv("REPRO_SESSION_BACKPRESSURE", raising=False)
+        assert session_backpressure() == 64
         monkeypatch.setenv("REPRO_SESSION_BACKPRESSURE", "9")
-        assert session_ring_capacity() == 7
         assert session_backpressure() == 9
-        session = MonitoringSession()
-        assert session.ring.maxlen == 7
-        monkeypatch.setenv("REPRO_SESSION_RING", "zero")
-        with pytest.raises(ValidationError):
-            session_ring_capacity()
+
+    @pytest.mark.parametrize("raw", ["zero", "2.5", "0", "-3"])
+    def test_malformed_backpressure_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SESSION_BACKPRESSURE", raw)
+        with pytest.raises(ValidationError, match="REPRO_SESSION_BACKPRESSURE"):
+            session_backpressure()
 
     def test_alert_sink_audits_and_alerts(self, tiny_cfg, tiny_windows):
         sink = AlertSink(fraction_threshold=0.05)

@@ -1,4 +1,4 @@
-"""SlabFeed: recipe materialisation, spill round-trips, time slabs, ring."""
+"""SlabFeed: recipe materialisation, spill round-trips, lifecycle."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
 from repro.data.generator import GeneratorConfig
 from repro.data.slab import SlabFeed, load_slab
-from repro.errors import DataShapeError, ValidationError
+from repro.errors import ValidationError
 from repro.experiments.config import SCALES, build_population
 
 TINY = SCALES["tiny"].generator
@@ -91,53 +91,6 @@ class TestFeedIdentity:
 def _count_series(source):
     """Module-level so the process backend can pickle it."""
     return len(load_slab(source, spill=False))
-
-
-class TestTimeSlabs:
-    def test_slabs_tile_the_time_axis_with_overlap(self):
-        with SlabFeed(TINY, seed=0, shard_size=50) as feed:
-            slabs = list(feed.iter_time_slabs(width=16, window=5))
-        # 100 series in 2 shards, 60 steps in ceil(60/16) = 4 slabs each.
-        assert len(slabs) == 2 * 4
-        by_shard: dict[int, list] = {}
-        for slab in slabs:
-            by_shard.setdefault(slab.series_start, []).append(slab)
-        for chunk in by_shard.values():
-            assert [s.start for s in chunk] == [0, 16, 32, 48]
-            assert chunk[-1].stop == 60
-            for s in chunk:
-                assert s.lo == max(0, s.start - 5)
-                assert s.block.length == s.stop - s.lo
-                assert s.block.n_series == 50
-
-    def test_slab_values_match_population_window(self, tiny_bundle):
-        with SlabFeed(TINY, seed=0, shard_size=100) as feed:
-            slab = next(feed.iter_time_slabs(width=16, window=4))
-        reference = np.stack(
-            [s.values for s in tiny_bundle.population.series[:100]]
-        )[:, slab.lo : slab.stop]
-        assert np.array_equal(slab.block.values, reference, equal_nan=True)
-        assert slab.width == 16
-
-    def test_ring_is_bounded(self):
-        with SlabFeed(TINY, seed=0, shard_size=50, ring_capacity=3) as feed:
-            for _ in feed.iter_time_slabs(width=10):
-                assert len(feed.ring) <= 3
-            assert len(feed.ring) == 3
-            # Ring holds the most recent slabs, newest last.
-            assert feed.ring[-1].stop == 60
-
-    def test_ragged_time_slabs_rejected(self):
-        with SlabFeed(RAGGED, seed=0, spill=False) as feed:
-            with pytest.raises(DataShapeError):
-                next(feed.iter_time_slabs(width=8))
-
-    def test_bad_bounds_rejected(self):
-        with SlabFeed(TINY, seed=0, spill=False) as feed:
-            with pytest.raises(Exception):
-                next(feed.iter_time_slabs(width=0))
-            with pytest.raises(ValidationError):
-                next(feed.iter_time_slabs(width=8, window=-1))
 
 
 class TestLifecycle:

@@ -1,4 +1,4 @@
-"""Robust/streaming statistics behind detection and Winsorization."""
+"""Descriptive statistics behind detection and Winsorization."""
 
 import numpy as np
 import pytest
@@ -6,60 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.stats.descriptive import (
-    RunningMoments,
-    mad,
-    nan_skewness,
-    robust_sigma_limits,
-    sigma_limits,
-    winsorize_array,
-)
-
-
-class TestRunningMoments:
-    def test_matches_numpy(self, rng):
-        data = rng.normal(3, 2, 100)
-        acc = RunningMoments()
-        acc.update_many(data)
-        assert acc.count == 100
-        assert acc.mean == pytest.approx(data.mean())
-        assert acc.variance == pytest.approx(data.var(ddof=1))
-        assert acc.std == pytest.approx(data.std(ddof=1))
-
-    def test_ignores_nan(self):
-        acc = RunningMoments()
-        acc.update_many([1.0, np.nan, 3.0])
-        assert acc.count == 2
-        assert acc.mean == pytest.approx(2.0)
-
-    def test_variance_nan_with_single_observation(self):
-        acc = RunningMoments()
-        acc.update(1.0)
-        assert np.isnan(acc.variance)
-
-    def test_merge_empty(self):
-        acc = RunningMoments()
-        acc.update_many([1.0, 2.0])
-        merged = acc.merge(RunningMoments())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-
-    @given(
-        a=st.lists(st.floats(-100, 100), min_size=2, max_size=30),
-        b=st.lists(st.floats(-100, 100), min_size=2, max_size=30),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_concatenation(self, a, b):
-        left = RunningMoments()
-        left.update_many(np.array(a))
-        right = RunningMoments()
-        right.update_many(np.array(b))
-        merged = left.merge(right)
-        both = RunningMoments()
-        both.update_many(np.array(a + b))
-        assert merged.count == both.count
-        assert merged.mean == pytest.approx(both.mean, abs=1e-9)
-        assert merged.variance == pytest.approx(both.variance, rel=1e-9, abs=1e-9)
+from repro.stats.descriptive import sigma_limits, winsorize_array
 
 
 class TestSigmaLimits:
@@ -81,48 +28,6 @@ class TestSigmaLimits:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValidationError):
             sigma_limits(np.array([1.0, 2.0]), k=0)
-
-
-class TestMad:
-    def test_consistent_with_normal_sd(self, rng):
-        data = rng.normal(0, 2, 20000)
-        assert mad(data) == pytest.approx(2.0, rel=0.05)
-
-    def test_robust_to_outliers(self):
-        data = np.concatenate([np.ones(99), [1e9]])
-        assert mad(data) == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValidationError):
-            mad(np.array([np.nan]))
-
-
-class TestRobustSigmaLimits:
-    def test_centered_on_median(self):
-        data = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
-        lo, hi = robust_sigma_limits(data, k=1.0)
-        assert (lo + hi) / 2 == pytest.approx(np.median(data))
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValidationError):
-            robust_sigma_limits(np.array([1.0, 2.0]), k=-1)
-
-
-class TestNanSkewness:
-    def test_right_skewed_positive(self, rng):
-        assert nan_skewness(rng.lognormal(0, 1, 5000)) > 1.0
-
-    def test_left_skewed_negative(self, rng):
-        assert nan_skewness(-rng.lognormal(0, 1, 5000)) < -1.0
-
-    def test_symmetric_near_zero(self, rng):
-        assert abs(nan_skewness(rng.normal(0, 1, 50000))) < 0.1
-
-    def test_constant_is_zero(self):
-        assert nan_skewness(np.ones(10)) == 0.0
-
-    def test_too_few_values_nan(self):
-        assert np.isnan(nan_skewness(np.array([1.0, 2.0])))
 
 
 class TestWinsorizeArray:

@@ -233,6 +233,12 @@ class TestSelection:
         monkeypatch.setenv("REPRO_STREAM", "off")
         assert not streaming_enabled()
 
+    @pytest.mark.parametrize("raw", ["2", "stream"])
+    def test_malformed_env_knob_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_STREAM", raw)
+        with pytest.raises(ValidationError, match="REPRO_STREAM"):
+            streaming_enabled()
+
     def test_config_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM", "1")
         assert not streaming_enabled(ExperimentConfig(streaming=False))

@@ -15,7 +15,7 @@ import pytest
 from repro.cleaning.partial import PartialCleaner
 from repro.cleaning.registry import paper_strategies, strategy_by_name
 from repro.core.framework import ExperimentConfig, ExperimentRunner
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ValidationError
 from repro.experiments.config import build_population, experiment_config
 from repro.experiments.sweep import (
     SWEEP_INCREMENTAL_ENV_VAR,
@@ -314,6 +314,12 @@ class TestIncrementalServing:
             monkeypatch.delenv(SWEEP_INCREMENTAL_ENV_VAR)
             assert sweep_incremental_enabled()
             assert sweep_incremental_enabled(override=False) is False
+
+    @pytest.mark.parametrize("raw", ["2", "maybe"])
+    def test_malformed_incremental_env_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(SWEEP_INCREMENTAL_ENV_VAR, raw)
+        with pytest.raises(ValidationError, match=SWEEP_INCREMENTAL_ENV_VAR):
+            sweep_incremental_enabled()
 
 
 # ---------------------------------------------------------------------------

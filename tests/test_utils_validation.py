@@ -12,6 +12,7 @@ from repro.utils.validation import (
     check_probability,
     ensure_1d,
     ensure_2d,
+    env_flag,
 )
 
 
@@ -124,3 +125,28 @@ class TestEnsureDims:
     def test_ensure_2d_rejects_3d(self):
         with pytest.raises(ValidationError):
             ensure_2d(np.zeros((2, 2, 2)), "x")
+
+
+class TestEnvFlag:
+    @pytest.mark.parametrize("raw", ["1", "on", "TRUE", " yes "])
+    def test_on_spellings(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TEST_FLAG", raw)
+        assert env_flag("REPRO_TEST_FLAG", default=False) is True
+
+    @pytest.mark.parametrize("raw", ["0", "OFF", "false", "no"])
+    def test_off_spellings(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TEST_FLAG", raw)
+        assert env_flag("REPRO_TEST_FLAG", default=True) is False
+
+    @pytest.mark.parametrize("default", [True, False])
+    def test_unset_or_empty_gives_default(self, monkeypatch, default):
+        monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
+        assert env_flag("REPRO_TEST_FLAG", default=default) is default
+        monkeypatch.setenv("REPRO_TEST_FLAG", "  ")
+        assert env_flag("REPRO_TEST_FLAG", default=default) is default
+
+    @pytest.mark.parametrize("raw", ["2", "-1", "maybe", "enabled", "o n"])
+    def test_rejects_anything_else(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TEST_FLAG", raw)
+        with pytest.raises(ValidationError, match="REPRO_TEST_FLAG"):
+            env_flag("REPRO_TEST_FLAG", default=False)
