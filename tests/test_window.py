@@ -1,114 +1,111 @@
-"""Windowed history F_t^w semantics and sharded streaming ingestion."""
+"""Stream windows: StreamWindow's input checks and cut_series_windows' cut."""
 
 import numpy as np
 import pytest
 
-from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
-from repro.data.window import WindowHistory, WindowShard, ingest_window_shard
+from repro.data.stream import NodeId, TimeSeries
+from repro.data.window import StreamWindow, cut_series_windows
 from repro.errors import ValidationError
 
-from helpers import make_series
+ATTRS = ("x", "y", "z")
 
 
-def _window_stat(t, history):
-    """Module-level consumer (picklable for the process backend)."""
-    return (t, history.shape[0], float(history[:, 0].sum()))
+def _series(length, truth=False, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(length, 3))
+    if length:
+        values[length // 2, 1] = np.nan
+    return TimeSeries(
+        NodeId(1, 2, 3),
+        values,
+        ATTRS,
+        rng.normal(size=(length, 3)) if truth else None,
+    )
 
 
-@pytest.fixture()
-def series():
-    return make_series([[float(t), 0.0, 0.0] for t in range(10)])
+class TestStreamWindow:
+    def test_width_and_key(self):
+        w = StreamWindow(4, 9, np.zeros((5, 3)), ATTRS)
+        assert w.width == 5
+        assert w.key == (4, 9)
 
+    def test_numpy_integer_ids_become_int(self):
+        w = StreamWindow(np.int64(3), np.uint8(2), np.zeros((1, 3)), ATTRS)
+        assert type(w.stream_id) is int and type(w.seq) is int
+        assert w.key == (3, 2)
 
-class TestWindowHistory:
-    def test_history_excludes_current(self, series):
-        w = WindowHistory(series, window=3)
-        hist = w.history(5)
-        assert hist[:, 0].tolist() == [2.0, 3.0, 4.0]
-
-    def test_history_clipped_at_start(self, series):
-        w = WindowHistory(series, window=5)
-        assert w.history(2).shape[0] == 2
-
-    def test_history_empty_at_zero(self, series):
-        assert WindowHistory(series, window=3).history(0).shape[0] == 0
-
-    def test_history_at_end(self, series):
-        w = WindowHistory(series, window=4)
-        assert w.history(10)[:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
-
-    def test_out_of_range_raises(self, series):
-        w = WindowHistory(series, window=3)
-        with pytest.raises(IndexError):
-            w.history(11)
-        with pytest.raises(IndexError):
-            w.history(-1)
-
-    def test_history_column(self, series):
-        w = WindowHistory(series, window=2)
-        assert w.history_column(4, "attr1").tolist() == [2.0, 3.0]
-
-    def test_iter_windows_covers_stream(self, series):
-        w = WindowHistory(series, window=3)
-        items = list(w.iter_windows())
-        assert len(items) == 10
-        assert items[0][1].shape[0] == 0
-        assert items[9][1].shape[0] == 3
-
-    def test_window_must_be_positive(self, series):
-        with pytest.raises(ValidationError):
-            WindowHistory(series, window=0)
-
-
-class TestShardedIngestion:
-    def test_iter_windows_bounded_chunk(self, series):
-        w = WindowHistory(series, window=3)
-        items = list(w.iter_windows(start=4, stop=7))
-        assert [t for t, _ in items] == [4, 5, 6]
-        # A chunk boundary never truncates the history window.
-        assert items[0][1][:, 0].tolist() == [1.0, 2.0, 3.0]
-
-    def test_iter_windows_rejects_bad_range(self, series):
-        w = WindowHistory(series, window=3)
-        with pytest.raises(ValidationError):
-            list(w.iter_windows(start=5, stop=3))
-        with pytest.raises(ValidationError):
-            list(w.iter_windows(start=0, stop=99))
-
-    def test_chunks_concatenate_to_full_iteration(self, series):
-        w = WindowHistory(series, window=4)
-        full = [(t, h.copy()) for t, h in w.iter_windows()]
-        chunked = []
-        for start, stop in w.shard_bounds(shard_size=3):
-            chunked.extend((t, h.copy()) for t, h in w.iter_windows(start, stop))
-        assert [t for t, _ in chunked] == [t for t, _ in full]
-        for (_, a), (_, b) in zip(chunked, full):
-            assert np.array_equal(a, b)
-
-    def test_shard_bounds_cover_time_axis(self, series):
-        bounds = WindowHistory(series, window=2).shard_bounds(shard_size=4)
-        assert bounds == [(0, 4), (4, 8), (8, 10)]
-
-    def test_window_shard_carries_only_overlap(self, series):
-        w = WindowHistory(series, window=3)
-        [unit] = [
-            WindowShard(
-                fn=_window_stat,
-                values=series.values[max(0, 4 - 3) : 8],
-                window=3,
-                start=4,
-                stop=8,
-                lo=1,
-            )
-        ]
-        out = ingest_window_shard(unit)
-        expected = [_window_stat(t, w.history(t)) for t in range(4, 8)]
-        assert out == expected
+    def test_integer_values_become_float(self):
+        w = StreamWindow(0, 0, np.arange(6).reshape(2, 3), ATTRS)
+        assert w.values.dtype == float
+        assert w.values.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
     @pytest.mark.parametrize(
-        "backend", [SerialBackend(), ThreadBackend(2), ProcessBackend(2, min_units=1)]
+        "stream_id, seq",
+        [(True, 0), (0, False), (1.0, 0), (0, "1"), (-1, 0), (0, -2)],
+        ids=["bool-id", "bool-seq", "float-id", "str-seq", "neg-id", "neg-seq"],
     )
-    def test_map_windows_matches_serial_iteration(self, series, backend):
-        w = WindowHistory(series, window=3)
-        expected = [_window_stat(t, h) for t, h in w.iter_windows()]
-        assert w.map_windows(_window_stat, backend=backend, shard_size=4) == expected
+    def test_rejects_bad_identity(self, stream_id, seq):
+        with pytest.raises(ValidationError):
+            StreamWindow(stream_id, seq, np.zeros((2, 3)), ATTRS)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros((2, 2)),
+            np.zeros(3),
+            np.zeros((2, 3, 1)),
+            np.array([["a", "b", "c"]]),
+            np.zeros((2, 3), dtype=complex),
+            np.zeros((2, 3), dtype=bool),
+            [[1.0, 2.0, 3.0], [4.0]],
+        ],
+        ids=["columns", "1d", "3d", "strings", "complex", "bools", "ragged"],
+    )
+    def test_rejects_bad_values(self, values):
+        with pytest.raises(ValidationError):
+            StreamWindow(0, 0, values, ATTRS)
+
+    def test_rejects_truth_of_other_shape(self):
+        with pytest.raises(ValidationError, match="truth shape"):
+            StreamWindow(0, 0, np.zeros((3, 3)), ATTRS, truth=np.zeros((2, 3)))
+
+
+class TestCutSeriesWindows:
+    @pytest.mark.parametrize("width", [1, 7, 40, 41, 100])
+    def test_concatenation_reproduces_series_bitwise(self, width):
+        s = _series(40, truth=True)
+        windows = cut_series_windows(s, 5, width)
+        assert [w.seq for w in windows] == list(range(len(windows)))
+        assert len(windows) == -(-40 // width)
+        assert all(w.stream_id == 5 for w in windows)
+        assert all(w.width == width for w in windows[:-1])
+        assert 1 <= windows[-1].width <= width
+        values = np.concatenate([w.values for w in windows])
+        truth = np.concatenate([w.truth for w in windows])
+        assert values.tobytes() == s.values.tobytes()
+        assert truth.tobytes() == s.truth.tobytes()
+
+    def test_node_and_attributes_ride_along(self):
+        s = _series(10)
+        for w in cut_series_windows(s, 0, 4):
+            assert w.node == s.node
+            assert w.attributes == ATTRS
+            assert w.truth is None
+
+    def test_windows_do_not_share_memory_with_series(self):
+        s = _series(12, truth=True)
+        for w in cut_series_windows(s, 0, 5):
+            assert not np.shares_memory(w.values, s.values)
+            assert not np.shares_memory(w.truth, s.truth)
+
+    def test_empty_series_is_one_empty_window(self):
+        s = _series(0, truth=True)
+        (w,) = cut_series_windows(s, 3, 8)
+        assert w.key == (3, 0)
+        assert w.values.shape == (0, 3)
+        assert w.truth.shape == (0, 3)
+
+    @pytest.mark.parametrize("width", [0, -4, 2.5])
+    def test_rejects_bad_width(self, width):
+        with pytest.raises(ValidationError):
+            cut_series_windows(_series(10), 0, width)
