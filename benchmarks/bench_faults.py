@@ -6,10 +6,12 @@ Two cells:
   disabled (``REPRO_RETRIES=1`` makes :func:`~repro.core.resilience.resilient`
   return the unit function unchanged) vs enabled (default three attempts),
   zero faults injected either way.  The wrapper is a no-op closure on the
-  hot path, so the target is **<2% wall overhead**; the assertion allows
-  15% because single-shot timings on a shared box vary by ±5-10% (see
-  ``bench_utils.run_best_of``) — the honest best-of-three ratio is what
-  gets recorded.
+  hot path, so the target is **<2% wall overhead**. The overhead is the
+  median of per-pair ``wrapped / bare`` wall ratios over
+  :data:`OVERHEAD_PAIRS` back-to-back pairs, alternating which side runs
+  first, so slow drift of a shared host cancels within each pair and one
+  noisy run moves no more than one ratio. The assertion still allows 15%:
+  single ~0.1 s runs at tiny scale wobble by ±5-10%.
 * **identity under faults** — a streaming (spilling) run and a
   catalog-backed sweep repeated under the representative deterministic
   plan ``unit:2,slab.torn:1,catalog.locked:1``.  Every injected failure
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import statistics
 import time
 
 from repro.experiments.config import scale_from_env
@@ -33,6 +36,9 @@ from repro.experiments.config import scale_from_env
 from bench_utils import record_bench
 
 FAULT_PLAN = "unit:2,slab.torn:1,catalog.locked:1"
+
+#: Timed (bare, wrapped) pairs behind the overhead median.
+OVERHEAD_PAIRS = 9
 
 
 def _fingerprint(result) -> str:
@@ -46,15 +52,16 @@ def _fingerprint(result) -> str:
     return hashlib.sha1(repr(keys).encode()).hexdigest()
 
 
-def _best_of(fn, rounds=3):
-    """One untimed warm-up, then the best of *rounds* timed runs."""
-    fn()
-    walls = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        out = fn()
-        walls.append(time.perf_counter() - t0)
-    return min(walls), out
+def _timed(fn, retries):
+    """Wall and result of one run of *fn* with ``REPRO_RETRIES`` set to
+    *retries* (``None`` unsets it: the default three attempts)."""
+    if retries is None:
+        os.environ.pop("REPRO_RETRIES", None)
+    else:
+        os.environ["REPRO_RETRIES"] = retries
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
 
 
 def test_retry_wrapper_overhead():
@@ -72,12 +79,25 @@ def test_retry_wrapper_overhead():
         runner = ExperimentRunner(bundle.dirty, bundle.ideal, config=cfg)
         return runner.run(strategies)
 
+    bare_retries = "1"  # wrapper compiled away
+    wrapped_retries = None  # default: 3 attempts
     saved = os.environ.get("REPRO_RETRIES")
+    bare_walls, wrapped_walls, ratios = [], [], []
     try:
-        os.environ["REPRO_RETRIES"] = "1"  # wrapper compiled away
-        bare_wall, bare = _best_of(run)
-        os.environ.pop("REPRO_RETRIES", None)  # default: 3 attempts
-        wrapped_wall, wrapped = _best_of(run)
+        # One untimed warm-up of each side, then pairs that alternate
+        # which side runs first.
+        _, bare = _timed(run, bare_retries)
+        _, wrapped = _timed(run, wrapped_retries)
+        for i in range(OVERHEAD_PAIRS):
+            if i % 2 == 0:
+                bare_wall, _ = _timed(run, bare_retries)
+                wrapped_wall, _ = _timed(run, wrapped_retries)
+            else:
+                wrapped_wall, _ = _timed(run, wrapped_retries)
+                bare_wall, _ = _timed(run, bare_retries)
+            bare_walls.append(bare_wall)
+            wrapped_walls.append(wrapped_wall)
+            ratios.append(wrapped_wall / max(bare_wall, 1e-9))
     finally:
         if saved is None:
             os.environ.pop("REPRO_RETRIES", None)
@@ -85,7 +105,9 @@ def test_retry_wrapper_overhead():
             os.environ["REPRO_RETRIES"] = saved
 
     identity_ok = _fingerprint(bare) == _fingerprint(wrapped)
-    overhead = wrapped_wall / max(bare_wall, 1e-9)
+    overhead = statistics.median(ratios)
+    bare_wall = statistics.median(bare_walls)
+    wrapped_wall = statistics.median(wrapped_walls)
     record_bench(
         "bench_faults_overhead",
         wall_s=wrapped_wall,
@@ -95,13 +117,14 @@ def test_retry_wrapper_overhead():
     )
     print()
     print(
-        f"Retry wrapper overhead ({scale}): bare {bare_wall:.3f}s, "
-        f"wrapped {wrapped_wall:.3f}s ({(overhead - 1) * 100:+.1f}%, "
-        f"target <2%), identity={'ok' if identity_ok else 'FAILED'}"
+        f"Retry wrapper overhead ({scale}): median bare {bare_wall:.3f}s, "
+        f"wrapped {wrapped_wall:.3f}s, median pair ratio "
+        f"{(overhead - 1) * 100:+.1f}% over {OVERHEAD_PAIRS} pairs "
+        f"(target <2%), identity={'ok' if identity_ok else 'FAILED'}"
     )
     assert identity_ok
-    # Target is <2%; the gate is loose only because single-shot wall
-    # clocks on a shared box wobble — the recorded ratio is the signal.
+    # Target is <2%; the gate is loose only because single wall clocks on
+    # a shared box wobble — the recorded median ratio is the signal.
     assert overhead < 1.15
 
 

@@ -19,14 +19,8 @@ regime the paper's stream setting describes: the block path materialises
 everything, the engine touches at most ``2 x R x B`` series plus one spilled
 shard at a time.
 
-A second, in-process cell ablates the *distance layer itself*: streamed
-(``statistical_distortion_stream`` — frozen-grid count folding / ECDF
-sketches, no pooled arrays) against pooled
-(``Distance.pairwise``) for EMD, KL, JS and KS on one synthetic panel,
-asserting the exact-regime identity contract and recording the walls.
-
-Records ``{wall_s, block_wall_s, rss_ratio, identity_ok}`` per distance and
-the ablation cell into the file ``bench_utils.bench_results_path()`` names.
+Records ``{wall_s, block_wall_s, rss_ratio, identity_ok}`` per distance
+into the file ``bench_utils.bench_results_path()`` names.
 
 Run:  REPRO_SCALE=small PYTHONPATH=src python -m pytest -q -s benchmarks/bench_stream.py
 """
@@ -37,9 +31,7 @@ import json
 import os
 import subprocess
 import sys
-import time
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import scale_from_env
@@ -198,67 +190,4 @@ def test_streaming_memory_and_identity(distance):
     assert stream["rss_delta_kb"] < block["rss_delta_kb"], (
         f"streaming peak RSS {stream['rss_delta_kb']} KiB not below "
         f"block {block['rss_delta_kb']} KiB"
-    )
-
-
-#: Distance-ablation panel sizes: (reference rows, candidate rows, dims).
-_ABLATION_SHAPE = {"tiny": (2_000, 1_500, 3), "small": (20_000, 15_000, 3)}
-_ABLATION_SHAPE["paper"] = _ABLATION_SHAPE["small"]
-
-
-def test_distance_ablation_streamed_vs_pooled():
-    """EMD vs KL vs JS vs KS, streamed vs pooled, one synthetic panel.
-
-    The exact-regime contract (identity frame, candidates inside the
-    reference support): the streamed value must equal the pooled value
-    **bitwise** for every distance — frozen-grid count folding and exact
-    sketch merging are lossless. Walls are recorded per distance so the
-    relative cost of the divergences stays visible across PRs.
-    """
-    from repro.core.distortion import slab_streams, statistical_distortion_stream
-    from repro.distance import distance_by_name
-
-    n_ref, n_cand, dims = _ABLATION_SHAPE[scale_from_env(default="small")]
-    rng = np.random.default_rng(0)
-    p = rng.gamma(1.5, 2.0, size=(n_ref, dims)) + rng.normal(0, 1, size=(n_ref, dims))
-    perm = rng.permutation(n_ref)
-    qs = [p[perm][:n_cand], p[perm[::-1]][:n_cand]]
-    width = max(256, n_ref // 16)
-
-    configs = {
-        "emd": dict(n_bins=8, standardize=False, exact_1d=False),
-        "kl": dict(n_bins=8, binning="uniform", standardize=False),
-        "js": dict(n_bins=8, binning="uniform", standardize=False),
-        "ks": {},
-    }
-    cell = {}
-    print()
-    for name, kwargs in configs.items():
-        distance = distance_by_name(name, **kwargs)
-        t0 = time.perf_counter()
-        pooled = distance.pairwise(p, qs)
-        pooled_wall = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ref_slabs, paired = slab_streams(p, qs, width)
-        streamed = statistical_distortion_stream(
-            ref_slabs, paired, n_candidates=2, distance=distance
-        )
-        stream_wall = time.perf_counter() - t0
-        identical = streamed == pooled
-        cell[name] = {
-            "pooled_wall_s": round(pooled_wall, 4),
-            "stream_wall_s": round(stream_wall, 4),
-            "value": round(pooled[0], 6),
-            "identity_ok": identical,
-        }
-        print(
-            f"  {name:3s}: pooled {pooled_wall:6.3f}s, streamed {stream_wall:6.3f}s, "
-            f"value {pooled[0]:.4f}, streamed==pooled: {identical}"
-        )
-        assert identical, f"{name}: streamed {streamed} != pooled {pooled}"
-    record_bench(
-        "bench_stream_distances",
-        wall_s=sum(v["stream_wall_s"] for v in cell.values()),
-        identity_ok=all(v["identity_ok"] for v in cell.values()),
-        **{f"{k}_{kk}": vv for k, v in cell.items() for kk, vv in v.items()},
     )

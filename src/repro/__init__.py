@@ -58,8 +58,6 @@ from repro.core import (
     ShardedStage,
     StrategyOutcome,
     StrategySummary,
-    StreamingDistortion,
-    slab_streams,
     StreamingExperiment,
     StreamingResult,
     ThreadBackend,
@@ -72,7 +70,6 @@ from repro.core import (
     run_streaming_experiment,
     statistical_distortion,
     statistical_distortion_batch,
-    statistical_distortion_stream,
     streaming_enabled,
     summarize_outcomes,
     tradeoff_points,

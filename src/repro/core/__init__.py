@@ -6,11 +6,8 @@ along those axes.
 
 from repro.core.cost import CostSweepResult, cost_sweep
 from repro.core.distortion import (
-    StreamingDistortion,
-    slab_streams,
     statistical_distortion,
     statistical_distortion_batch,
-    statistical_distortion_stream,
 )
 from repro.core.evaluation import (
     StrategyOutcome,
@@ -64,9 +61,6 @@ __all__ = [
     "series_glitch_scores",
     "statistical_distortion",
     "statistical_distortion_batch",
-    "statistical_distortion_stream",
-    "StreamingDistortion",
-    "slab_streams",
     "ExperimentConfig",
     "ExperimentRunner",
     "ExperimentResult",

@@ -4,11 +4,11 @@ Every execution front of the experiment — the in-memory block path, the
 pull-driven streaming slab engine (:mod:`repro.core.streaming`), and the
 push-driven live monitoring service (:mod:`repro.service`) — computes the
 same per-series statistics: record-level cleanliness fractions, weighted
-glitch scores, sigma-limit fits over pooled ideal columns, and distortion
-accumulators on frozen grids or ECDF sketches. This module owns those folds
-once, engine-agnostically, so the engines reduce to *drivers* that decide
-where the windows come from (shard passes, live feeds) and what executes
-them (serial/thread/process backends) — never what the numbers are.
+glitch scores and sigma-limit fits over pooled ideal columns. This module
+owns those folds once, engine-agnostically, so the engines reduce to
+*drivers* that decide where the windows come from (shard passes, live
+feeds) and what executes them (serial/thread/process backends) — never what
+the numbers are.
 
 The identity contract every fold honours: folding a series window by window
 (any window widths, any arrival order, duplicates deduplicated upstream)
@@ -43,11 +43,6 @@ counts glitch cells and outlier rows (:func:`_glitch_counts`) per window
 after a suite froze, and per chunk when the journal is backfilled at a
 freeze. Padding is masked out, so ragged populations run the same passes
 as uniform ones.
-
-The distortion fold inherits the mergeable-accumulator guarantees of
-:class:`~repro.distance.histogram.HistogramAccumulator` and
-:class:`~repro.stats.ecdf.EcdfSketch`; see :class:`DistortionFold` for the
-per-mode contract against the pooled path.
 """
 
 from __future__ import annotations
@@ -62,8 +57,7 @@ from repro.data.block import CHUNK_SERIES
 from repro.data.stream import TimeSeries
 from repro.data.window import StreamWindow, cut_series_windows
 from repro.distance.base import Distance
-from repro.distance.emd import EarthMoverDistance
-from repro.errors import DistanceError, ValidationError
+from repro.errors import ValidationError
 from repro.glitches.constraints import ConstraintSet
 from repro.glitches.detectors import (
     DetectorSuite,
@@ -84,7 +78,6 @@ from repro.sampling.replication import (
     replication_index_streams,
 )
 from repro.stats.descriptive import sigma_limits
-from repro.stats.ecdf import EcdfSketch
 from repro.utils.validation import check_fraction
 
 __all__ = [
@@ -94,7 +87,6 @@ __all__ = [
     "WindowJournal",
     "CleanlinessFold",
     "GlitchFold",
-    "DistortionFold",
     "IncrementalScorer",
     "CHUNK_SERIES",
     "RowChunk",
@@ -863,237 +855,6 @@ class GlitchFold:
     def n_records(self, stream_id: int) -> int:
         """Records annotated for one stream so far."""
         return self._length.get(stream_id, 0)
-
-
-class DistortionFold:
-    """The mergeable distortion-accumulation core, over raw row slabs.
-
-    Owns what used to live inside
-    :class:`~repro.core.distortion.StreamingDistortion` (which is now a
-    thin sample-level driver over this fold): the streamed reference
-    frame/support sketch, the accumulation-mode decision
-    (:meth:`~repro.distance.base.Distance.stream_mode`), the frozen
-    :class:`~repro.distance.histogram.HistogramGrid` with per-candidate
-    count accumulators, or the per-attribute
-    :class:`~repro.stats.ecdf.EcdfSketch` panels — all operating on
-    already-pooled ``(N, d)`` row arrays, so any engine that can produce
-    rows (slab passes, live window arrivals) can drive it.
-
-    Quantile-binning histogram distances (the default KL/JS) are
-    streaming-capable here: the reference pre-pass additionally folds one
-    exact :class:`EcdfSketch` per dimension, and :meth:`freeze` places the
-    bin edges with
-    :meth:`~repro.distance.histogram.HistogramBinner.grid_from_sketches`,
-    which replays the pooled ``np.quantile`` edge arithmetic bit for bit
-    (on the reference support — the documented streaming grid semantics).
-    ``support_margin`` only applies to uniform edges; quantile edges follow
-    the reference mass, and out-of-support candidate mass clips into the
-    boundary bins as usual.
-
-    ``finalize`` is non-destructive — reading the panel distortions mid-
-    stream and folding more slabs afterwards is the live-monitoring read
-    path.
-    """
-
-    def __init__(
-        self,
-        n_candidates: int,
-        distance: Optional[Distance] = None,
-        sketch_size: Optional[int] = None,
-    ):
-        if n_candidates < 1:
-            raise DistanceError("need at least one candidate")
-        self.distance = distance or EarthMoverDistance()
-        binner = getattr(self.distance, "binner", None)
-        sketch_capable = callable(getattr(self.distance, "sketch_distances", None))
-        histogram_capable = binner is not None and callable(
-            getattr(self.distance, "between_histograms_batch", None)
-        )
-        if not histogram_capable and not sketch_capable:
-            raise DistanceError(
-                f"{type(self.distance).__name__} is not streaming-capable: "
-                "it exposes neither a histogram path (binner + "
-                "between_histograms_batch) nor an ECDF sketch path "
-                "(see Distance.stream_mode)"
-            )
-        self.n_candidates = n_candidates
-        self.sketch_size = sketch_size
-        self._quantile_edges = bool(
-            histogram_capable and binner.binning == "quantile"
-        )
-        self._mode: Optional[str] = None
-        self._dim: Optional[int] = None
-        self._count = 0
-        self._sum: Optional[np.ndarray] = None
-        self._sumsq: Optional[np.ndarray] = None
-        self._mins: Optional[np.ndarray] = None
-        self._maxs: Optional[np.ndarray] = None
-        self._shift: Optional[np.ndarray] = None
-        self._scale: Optional[np.ndarray] = None
-        self._edge_sketches: "Optional[list[EcdfSketch]]" = None
-        self._grid = None
-        self._accumulators = None
-        self._ref_sketches: "Optional[list[EcdfSketch]]" = None
-        self._cand_sketches: "Optional[list[list[EcdfSketch]]]" = None
-
-    # -- pass 1: the reference sketch --------------------------------------
-
-    @property
-    def mode(self) -> Optional[str]:
-        """The frozen accumulation mode (``None`` before :meth:`freeze`)."""
-        return self._mode
-
-    @property
-    def grid(self):
-        """The frozen shared grid (``None`` before :meth:`freeze`, and
-        always ``None`` in ECDF mode)."""
-        return self._grid
-
-    @property
-    def scale(self) -> Optional[np.ndarray]:
-        """The streamed frame scale (for standardising sketch distances)."""
-        return self._scale
-
-    def observe_reference(self, rows: np.ndarray) -> None:
-        """Fold one slab of reference rows into the frame/support sketch."""
-        if self._mode is not None:
-            raise DistanceError("grid already frozen; no more reference slabs")
-        if rows.shape[0] == 0:
-            return
-        if self._dim is None:
-            self._dim = rows.shape[1]
-            self._sum = np.zeros(self._dim)
-            self._sumsq = np.zeros(self._dim)
-            self._mins = np.full(self._dim, np.inf)
-            self._maxs = np.full(self._dim, -np.inf)
-            if self._quantile_edges:
-                self._edge_sketches = [
-                    EcdfSketch(self.sketch_size) for _ in range(self._dim)
-                ]
-        elif rows.shape[1] != self._dim:
-            raise DistanceError(
-                f"dimension mismatch: expected d={self._dim}, got {rows.shape[1]}"
-            )
-        self._count += rows.shape[0]
-        self._sum += rows.sum(axis=0)
-        self._sumsq += (rows * rows).sum(axis=0)
-        self._mins = np.minimum(self._mins, rows.min(axis=0))
-        self._maxs = np.maximum(self._maxs, rows.max(axis=0))
-        if self._edge_sketches is not None:
-            for j, sketch in enumerate(self._edge_sketches):
-                sketch.add(rows[:, j])
-
-    def freeze(self, support_margin: float = 0.0) -> None:
-        """Fix the accumulation mode from the reference sketch."""
-        if self._mode is not None:
-            return
-        binner = getattr(self.distance, "binner", None)
-        if self._count == 0:
-            if binner is None:
-                # Scale-free ECDF distance: no frame/support sketch needed;
-                # the dimension is discovered on the first observed slab.
-                self._mode = "ecdf"
-                return
-            raise DistanceError("no reference rows observed")
-        if binner is None or not binner.standardize:
-            shift = np.zeros(self._dim)
-            scale = np.ones(self._dim)
-        else:
-            mean = self._sum / self._count
-            var = self._sumsq / self._count - mean * mean
-            scale = np.sqrt(np.maximum(var, 0.0))
-            scale = np.where(scale > 0, scale, 1.0)
-            shift = mean
-        self._shift, self._scale = shift, scale
-        mode = self.distance.stream_mode(self._dim)
-        if mode == "histogram":
-            if self._quantile_edges:
-                self._grid = binner.grid_from_sketches(
-                    shift, scale, self._edge_sketches
-                )
-            else:
-                mins = (self._mins - shift) / scale
-                maxs = (self._maxs - shift) / scale
-                if support_margin:
-                    widths = maxs - mins
-                    mins = mins - support_margin * widths
-                    maxs = maxs + support_margin * widths
-                self._grid = binner.grid_from_stats(shift, scale, mins, maxs)
-            self._accumulators = [
-                self._grid.accumulator() for _ in range(self.n_candidates + 1)
-            ]
-        elif mode == "ecdf":
-            self._init_sketches(self._dim)
-        else:  # pragma: no cover - constructor already screens for this
-            raise DistanceError(
-                f"{type(self.distance).__name__} is not streaming-capable"
-            )
-        self._mode = mode
-
-    def _init_sketches(self, dim: int) -> None:
-        self._dim = dim
-        self._ref_sketches = [EcdfSketch(self.sketch_size) for _ in range(dim)]
-        self._cand_sketches = [
-            [EcdfSketch(self.sketch_size) for _ in range(dim)]
-            for _ in range(self.n_candidates)
-        ]
-
-    # -- pass 2: the one pass over candidate slabs --------------------------
-
-    def observe(
-        self, reference_rows: np.ndarray, candidate_rows: Sequence[np.ndarray]
-    ) -> None:
-        """Fold one aligned slab of the reference and every candidate.
-
-        In histogram mode rows must be complete-case filtered by the
-        caller; in ECDF mode rows arrive whole and each attribute's sketch
-        drops its own non-finite values.
-        """
-        if self._mode is None:
-            self.freeze()
-        if len(candidate_rows) != self.n_candidates:
-            raise DistanceError(
-                f"expected {self.n_candidates} candidate slabs, "
-                f"got {len(candidate_rows)}"
-            )
-        if self._mode == "histogram":
-            self._accumulators[0].add(reference_rows)
-            for acc, rows in zip(self._accumulators[1:], candidate_rows):
-                acc.add(rows)
-            return
-        if self._ref_sketches is None:
-            self._init_sketches(reference_rows.shape[1])
-        self._fold_sketch_rows(self._ref_sketches, reference_rows)
-        for panel, rows in zip(self._cand_sketches, candidate_rows):
-            self._fold_sketch_rows(panel, rows)
-
-    def _fold_sketch_rows(self, panel: "list[EcdfSketch]", rows: np.ndarray) -> None:
-        if rows.shape[1] != self._dim:
-            raise DistanceError(
-                f"dimension mismatch: expected d={self._dim}, got {rows.shape[1]}"
-            )
-        for j, sketch in enumerate(panel):
-            sketch.add(rows[:, j])
-
-    def finalize(self) -> list[float]:
-        """Panel distortions from the accumulated summaries (repeatable —
-        accumulation may continue afterwards)."""
-        if self._mode == "histogram":
-            if self._accumulators[0].total == 0:
-                raise DistanceError("no slabs observed")
-            hp = self._accumulators[0].finalize()
-            hqs = [acc.finalize() for acc in self._accumulators[1:]]
-            return [
-                float(v) for v in self.distance.between_histograms_batch(hp, hqs)
-            ]
-        if self._mode == "ecdf" and self._ref_sketches is not None:
-            return [
-                float(v)
-                for v in self.distance.sketch_distances(
-                    self._ref_sketches, self._cand_sketches, scale=self._scale
-                )
-            ]
-        raise DistanceError("no slabs observed")
 
 
 # ---------------------------------------------------------------------------

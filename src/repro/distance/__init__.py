@@ -11,7 +11,6 @@ from repro.distance.base import Distance
 from repro.distance.emd import EarthMoverDistance, emd_1d, pairwise_emd
 from repro.distance.emd_approx import MarginalEmd, SlicedEmd
 from repro.distance.histogram import (
-    HistogramAccumulator,
     HistogramBinner,
     HistogramGrid,
     SparseHistogram,
@@ -81,7 +80,6 @@ __all__ = [
     "MarginalEmd",
     "HistogramBinner",
     "HistogramGrid",
-    "HistogramAccumulator",
     "SparseHistogram",
     "KLDivergence",
     "JensenShannonDistance",

@@ -8,7 +8,7 @@ Rows containing NaN are dropped — missing cells carry no distributional mass.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,32 +92,6 @@ class Distance(ABC):
         override this with a batched fast path.
         """
         return [self(p, q) for q in qs]
-
-    def stream_mode(self, dim: int) -> Optional[str]:
-        """How (if at all) this distance evaluates over a one-pass stream.
-
-        ``"histogram"`` — the distance is a function of mergeable bin masses
-        on a frozen shared grid: the instance exposes a ``binner`` and a
-        ``between_histograms_batch(hp, hqs)`` method, and
-        :class:`~repro.core.distortion.StreamingDistortion` folds slab
-        counts into grid accumulators (exact integer folding).
-
-        ``"ecdf"`` — the distance is a function of per-attribute empirical
-        CDFs: the instance exposes ``sketch_distances(reference,
-        candidates, scale=...)`` over :class:`~repro.stats.ecdf.EcdfSketch`
-        panels, and the streaming layer folds per-attribute sketches.
-
-        ``None`` — pooled samples only. Subclasses that can stream in more
-        than one way (EMD: exact CDF path in 1-D, histograms otherwise)
-        override this to pick per *dim*.
-        """
-        if getattr(self, "binner", None) is not None and callable(
-            getattr(self, "between_histograms_batch", None)
-        ):
-            return "histogram"
-        if callable(getattr(self, "sketch_distances", None)):
-            return "ecdf"
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

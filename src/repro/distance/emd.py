@@ -27,7 +27,7 @@ standardised, sorted and binned once, and all candidates share one grid.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.distance.transport import (
     transport_cost_1d,
 )
 from repro.errors import DistanceError
-from repro.stats.ecdf import Ecdf, EcdfSketch
+from repro.stats.ecdf import Ecdf
 
 __all__ = [
     "emd_1d",
@@ -219,52 +219,6 @@ class EarthMoverDistance(Distance):
             ]
         hp, hqs = self.binner.histogram_group(p, cleaned)
         return emd_between_histograms_batch(hp, hqs, backend=self.backend)
-
-    # -- streaming ------------------------------------------------------------
-
-    def stream_mode(self, dim: int) -> Optional[str]:
-        """Exact CDF-sketch streaming in 1-D, frozen-grid histograms else."""
-        if dim == 1 and self.exact_1d:
-            return "ecdf"
-        return "histogram"
-
-    def between_histograms_batch(
-        self, hp: SparseHistogram, hqs: Sequence[SparseHistogram]
-    ) -> list[float]:
-        """Panel EMD from accumulated histograms (the streaming hook)."""
-        return emd_between_histograms_batch(hp, hqs, backend=self.backend)
-
-    def sketch_distances(
-        self,
-        reference: Sequence[EcdfSketch],
-        candidates: Sequence[Sequence[EcdfSketch]],
-        scale: Optional[np.ndarray] = None,
-    ) -> list[float]:
-        """Exact 1-D EMD of each candidate against the reference, from
-        per-attribute :class:`~repro.stats.ecdf.EcdfSketch` panels.
-
-        The 1-Wasserstein distance is translation-invariant and positively
-        homogeneous, so the pooled path's reference-frame standardisation
-        reduces to dividing the raw-value distance by the frame ``scale``
-        (bitwise-identical to the pooled path when no standardisation is in
-        play and the sketches are exact; ulp-level otherwise).
-        """
-        if len(reference) != 1:
-            raise DistanceError(
-                "the exact EMD sketch path is univariate; multivariate "
-                "streams use the histogram mode"
-            )
-        s = 1.0
-        if scale is not None and self.binner.standardize:
-            s = float(np.asarray(scale, dtype=float).ravel()[0])
-        results = []
-        for panel in candidates:
-            if len(panel) != 1:
-                raise DistanceError("candidate panel must hold one sketch")
-            if reference[0].n == 0 or panel[0].n == 0:
-                raise DistanceError("cannot compare empty EcdfSketches")
-            results.append(reference[0].l1_distance(panel[0]) / s)
-        return results
 
 
 def pairwise_emd(

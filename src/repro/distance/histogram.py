@@ -3,7 +3,9 @@
 Section 3.5: "let P and Q be two distributions with the same support, and let
 b_i, i = 1..n be the bins covering this support." Binning two samples on a
 *common* grid is what makes cross-bin distances (EMD) and per-bin divergences
-(KL) well defined; this module owns that step.
+(KL) well defined; this module owns that step. One binner call freezes one
+:class:`HistogramGrid` for a whole panel, so the reference and every
+candidate share a flat key space and the distances align bins by key.
 
 Only non-empty bins are materialised (:class:`SparseHistogram`): with 8 bins
 per dimension a 3-attribute histogram has 512 potential cells but typically
@@ -17,18 +19,16 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import DistanceError
-from repro.stats.ecdf import EcdfSketch
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "SparseHistogram",
     "HistogramGrid",
-    "HistogramAccumulator",
     "HistogramBinner",
     "clear_frame_cache",
 ]
@@ -84,11 +84,9 @@ class HistogramGrid:
 
     The grid is the part of a binner call that requires global knowledge
     (the reference frame and the support-covering edges); once frozen, bin
-    assignment is a pure per-row function, which is what makes histogram
-    counts *mergeable*: accumulating a sample slab by slab and merging the
-    integer counts is bitwise-identical to binning the pooled sample in one
-    shot (per-row standardisation and bin lookup are elementwise, and
-    integer counts add exactly).
+    assignment is a pure per-row function, so every sample of one panel is
+    binned on the same flat key space and the distances can align bins by
+    key.
     """
 
     shift: np.ndarray
@@ -147,27 +145,8 @@ class HistogramGrid:
             remaining = remaining // dims[j]
         return centers
 
-    def matches(self, other: "HistogramGrid") -> bool:
-        """Whether two grids define the exact same frame and edges."""
-        return self is other or (
-            np.array_equal(self.shift, other.shift)
-            and np.array_equal(self.scale, other.scale)
-            and len(self.edges) == len(other.edges)
-            and all(np.array_equal(a, b) for a, b in zip(self.edges, other.edges))
-        )
-
-    def accumulator(self) -> "HistogramAccumulator":
-        """A fresh mergeable count accumulator on this grid."""
-        return HistogramAccumulator(self)
-
     def histogram(self, sample: np.ndarray, standardized: bool = False) -> SparseHistogram:
-        """One-shot histogram of a sample.
-
-        Equivalent to ``accumulator().add(sample).finalize()`` bit for bit
-        (``np.unique`` already returns sorted keys with exact counts), but
-        fully vectorised — this is the per-replication hot path, and the
-        dict fold exists for genuine slab merging, not for single samples.
-        """
+        """Histogram of a sample on this grid, with sorted keys."""
         keys, counts = np.unique(
             self.keys_for(sample, standardized=standardized), return_counts=True
         )
@@ -175,60 +154,6 @@ class HistogramGrid:
             raise DistanceError("cannot histogram an empty sample")
         return SparseHistogram(
             centers=self.centers_for(keys),
-            probs=counts / counts.sum(),
-            keys=keys,
-        )
-
-
-class HistogramAccumulator:
-    """Mergeable integer bin counts over one :class:`HistogramGrid`.
-
-    ``add`` folds one slab of rows, ``merge`` combines accumulators built on
-    the same grid (e.g. by parallel shard workers), ``finalize`` emits the
-    :class:`SparseHistogram`. Because counts are exact integers and bin
-    assignment is per-row, *any* slab/merge order yields the histogram the
-    one-shot binner would produce — bit for bit.
-    """
-
-    __slots__ = ("grid", "_counts")
-
-    def __init__(self, grid: HistogramGrid):
-        self.grid = grid
-        self._counts: dict[int, int] = {}
-
-    @property
-    def total(self) -> int:
-        """Total number of accumulated rows."""
-        return sum(self._counts.values())
-
-    def add(self, rows: np.ndarray, standardized: bool = False) -> "HistogramAccumulator":
-        """Fold one ``(N, d)`` slab of rows into the counts."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape[0] == 0:
-            return self
-        keys, counts = np.unique(
-            self.grid.keys_for(rows, standardized=standardized), return_counts=True
-        )
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            self._counts[key] = self._counts.get(key, 0) + count
-        return self
-
-    def merge(self, other: "HistogramAccumulator") -> "HistogramAccumulator":
-        """Fold another accumulator's counts into this one (same grid)."""
-        if not self.grid.matches(other.grid):
-            raise DistanceError("cannot merge accumulators on different grids")
-        for key, count in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + count
-        return self
-
-    def finalize(self) -> SparseHistogram:
-        """The accumulated counts as a normalised :class:`SparseHistogram`."""
-        if not self._counts:
-            raise DistanceError("cannot finalize an empty histogram")
-        keys = np.array(sorted(self._counts), dtype=np.int64)
-        counts = np.array([self._counts[int(k)] for k in keys], dtype=np.int64)
-        return SparseHistogram(
-            centers=self.grid.centers_for(keys),
             probs=counts / counts.sum(),
             keys=keys,
         )
@@ -347,108 +272,6 @@ class HistogramBinner:
         )
         hp = grid.histogram(ps, standardized=True)
         return hp, [grid.histogram(q, standardized=True) for q in qss]
-
-    def make_grid(self, p: np.ndarray, qs: Sequence[np.ndarray] = ()) -> HistogramGrid:
-        """Freeze the shared grid one :meth:`histogram_group` call would use.
-
-        The frame comes from the reference *p* alone; the edges span the
-        pooled union of the reference and every candidate. The returned
-        :class:`HistogramGrid` is the mergeable-histogram entry point: slab
-        accumulation on it is bitwise-identical to the one-shot group call.
-        """
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2:
-            raise DistanceError(f"sample must be (N, d), got {p.shape}")
-        qs = [np.asarray(q, dtype=float) for q in qs]
-        shift, scale = self._reference_frame(p)
-        pooled = np.concatenate(
-            [(p - shift) / scale] + [(q - shift) / scale for q in qs], axis=0
-        )
-        return HistogramGrid(
-            shift=shift, scale=scale, edges=tuple(self._edges(pooled))
-        )
-
-    def grid_from_stats(
-        self,
-        shift: np.ndarray,
-        scale: np.ndarray,
-        mins: np.ndarray,
-        maxs: np.ndarray,
-    ) -> HistogramGrid:
-        """A grid from streamed sufficient statistics instead of pooled rows.
-
-        ``mins``/``maxs`` are the per-dimension bounds of the *standardised*
-        union support (running ``minimum``/``maximum`` folds are exact, so
-        streamed bounds equal pooled bounds bit for bit). Only uniform
-        binning can be frozen from statistics — quantile edges need the full
-        pooled sample by definition.
-        """
-        if self.binning != "uniform":
-            raise DistanceError(
-                "grid_from_stats requires uniform binning; quantile edges "
-                "need the pooled sample"
-            )
-        shift = np.asarray(shift, dtype=float)
-        scale = np.asarray(scale, dtype=float)
-        mins = np.asarray(mins, dtype=float)
-        maxs = np.asarray(maxs, dtype=float)
-        edges = [
-            self._uniform_edges(float(lo), float(hi)) for lo, hi in zip(mins, maxs)
-        ]
-        return HistogramGrid(shift=shift, scale=scale, edges=tuple(edges))
-
-    def grid_from_sketches(
-        self,
-        shift: np.ndarray,
-        scale: np.ndarray,
-        sketches: Sequence,
-    ) -> HistogramGrid:
-        """A grid whose edges come from streamed per-dimension ECDF sketches.
-
-        The quantile-binning counterpart of :meth:`grid_from_stats`:
-        *sketches* holds one :class:`~repro.stats.ecdf.EcdfSketch` of each
-        dimension's **raw** reference values. Edges replay the pooled
-        :meth:`_edges` arithmetic on the standardised reference column —
-        the sketch values are mapped through the frame elementwise (the
-        same ``(x - shift) / scale`` every pooled row would see), the
-        support read off the mapped extremes, and quantile edges taken with
-        :meth:`EcdfSketch.quantile`, which replays ``np.quantile`` bit for
-        bit in exact mode. Uniform binning falls through to the same
-        equal-width edges :meth:`_edges` would produce.
-
-        The grid spans the *reference* support only (the documented
-        streaming semantics — the pooled path's edges span the union of
-        reference and candidates), and with compressed sketches edges
-        inherit the sketch's rank-error tolerance.
-        """
-        shift = np.asarray(shift, dtype=float)
-        scale = np.asarray(scale, dtype=float)
-        if len(sketches) != shift.shape[0]:
-            raise DistanceError(
-                f"got {len(sketches)} sketches for {shift.shape[0]} dimensions"
-            )
-        edges = []
-        for j, sketch in enumerate(sketches):
-            if sketch.n == 0:
-                raise DistanceError(
-                    f"dimension {j} has no finite reference values to bin"
-                )
-            raw_lo, raw_hi = sketch.support
-            lo = (raw_lo - shift[j]) / scale[j]
-            hi = (raw_hi - shift[j]) / scale[j]
-            if lo == hi or self.binning == "uniform":
-                e = self._uniform_edges(lo, hi)
-            else:
-                qs = np.linspace(0.0, 1.0, self.n_bins + 1)
-                standardized = EcdfSketch(sketch.max_size)
-                standardized.merge(sketch)
-                standardized._consolidate()
-                standardized._values = (standardized._values - shift[j]) / scale[j]
-                e = np.unique(standardized.quantile(qs))
-                if e.size < 2:
-                    e = np.array([lo - 0.5, hi + 0.5])
-            edges.append(e)
-        return HistogramGrid(shift=shift, scale=scale, edges=tuple(edges))
 
     def reference_frame(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension ``(shift, scale)`` of the standardisation frame.

@@ -5,15 +5,11 @@ histograms requires smoothing (a cleaned bin with zero dirty mass would blow
 up the divergence); we use additive (Laplace) smoothing with a configurable
 per-bin pseudo-count.
 
-Both divergences are pure functions of bin masses on a shared grid, which
-makes them **streaming-native**: the frozen-grid count accumulators of
-:mod:`repro.distance.histogram` feed :meth:`between_histograms_batch`
-directly, and :class:`~repro.core.distortion.StreamingDistortion` scores a
-whole candidate panel without pooling a sample array (count folding is
-bitwise-exact, so within-support uniform-binning streams equal the pooled
-path exactly; quantile binning streams too, its edges replayed bitwise
-from ECDF order-statistic sketches — see the README distance table for
-the tolerance contract).
+Both divergences are pure functions of bin masses on a shared grid: a panel
+is binned once on the union support (:meth:`HistogramBinner.histogram_group
+<repro.distance.histogram.HistogramBinner.histogram_group>`), and each
+candidate's masses are aligned with the reference's by grid key
+(:func:`aligned_probs`) before the divergence is taken.
 """
 
 from __future__ import annotations
@@ -60,10 +56,6 @@ class KLDivergence(Distance):
     ----------
     n_bins, binning, standardize:
         Forwarded to :class:`HistogramBinner` (shared support, like EMD).
-        Both binnings are streaming-capable: uniform grids freeze from
-        streamed moments, and quantile edges replay ``np.quantile`` bitwise
-        from per-dimension :class:`~repro.stats.ecdf.EcdfSketch` order
-        statistics folded over the reference slabs.
     pseudo_count:
         Additive smoothing mass added to **each** occupied-union bin: with
         ``k`` bins in the union, a bin mass ``m`` becomes
@@ -130,9 +122,8 @@ class KLDivergence(Distance):
     ) -> list[float]:
         """Divergence of each candidate histogram from the reference.
 
-        The streaming entry point: *hp*/*hqs* may come from one binner call
-        or from :class:`~repro.distance.histogram.HistogramAccumulator`
-        folds on a frozen grid — only the accumulated bin masses matter.
+        *hp* and *hqs* must come from one binner call, so their grid keys
+        align.
         """
         return [self._from_pair(hp, hq) for hq in hqs]
 
@@ -141,9 +132,7 @@ class JensenShannonDistance(Distance):
     """Jensen-Shannon *distance* (square root of JS divergence, natural log).
 
     Bounded by ``sqrt(log 2)`` and symmetric — a better-behaved cousin of KL
-    for reporting, included as an extension. Streaming-capable under both
-    binnings exactly like :class:`KLDivergence` (quantile edges come from
-    streamed ECDF sketches, uniform grids from streamed moments).
+    for reporting, included as an extension.
     """
 
     name = "js"

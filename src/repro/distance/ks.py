@@ -5,23 +5,20 @@ attributes of the per-attribute two-sample KS statistic. Unlike EMD it is
 insensitive to *how far* mass moved, only to how much — the ablation bench
 contrasts the two on Winsorization (which moves mass a long way).
 
-KS is a pure function of per-attribute empirical CDFs, so it is
-**streaming-native** through :class:`~repro.stats.ecdf.EcdfSketch` panels
-(:meth:`KolmogorovSmirnovDistance.sketch_distances`): exact-mode sketches
-reproduce the pooled statistic bitwise, compressed sketches to the sketch's
-rank-error bound. It is also invariant under per-attribute monotone maps,
-so no standardisation frame is involved.
+KS is a pure function of per-attribute empirical CDFs
+(:class:`~repro.stats.ecdf.Ecdf`), so it is invariant under per-attribute
+monotone maps and no standardisation frame is involved.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.distance.base import Distance
 from repro.errors import DistanceError
-from repro.stats.ecdf import Ecdf, EcdfSketch
+from repro.stats.ecdf import Ecdf
 
 __all__ = ["KolmogorovSmirnovDistance"]
 
@@ -71,40 +68,6 @@ class KolmogorovSmirnovDistance(Distance):
         if worst is None:
             raise DistanceError("no attribute populated on both sides")
         return worst
-
-    # -- streaming ------------------------------------------------------------
-
-    def sketch_distances(
-        self,
-        reference: Sequence[EcdfSketch],
-        candidates: Sequence[Sequence[EcdfSketch]],
-        scale: Optional[np.ndarray] = None,
-    ) -> list[float]:
-        """KS of each candidate panel against the reference, from sketches.
-
-        *reference* holds one :class:`~repro.stats.ecdf.EcdfSketch` per
-        attribute; *candidates* one such panel per candidate. ``scale`` is
-        accepted for protocol uniformity and ignored — KS is invariant
-        under per-attribute monotone rescaling. Attributes unpopulated on
-        either side are skipped exactly like :meth:`compute`.
-        """
-        results = []
-        for panel in candidates:
-            if len(panel) != len(reference):
-                raise DistanceError(
-                    f"candidate panel has {len(panel)} attribute sketches, "
-                    f"reference has {len(reference)}"
-                )
-            worst: Optional[float] = None
-            for ref_sketch, cand_sketch in zip(reference, panel):
-                if ref_sketch.n == 0 or cand_sketch.n == 0:
-                    continue
-                gap = ref_sketch.ks_distance(cand_sketch)
-                worst = gap if worst is None else max(worst, gap)
-            if worst is None:
-                raise DistanceError("no attribute populated on both sides")
-            results.append(float(worst))
-        return results
 
 
 def _coerce(values: np.ndarray, name: str) -> np.ndarray:

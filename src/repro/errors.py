@@ -16,7 +16,6 @@ __all__ = [
     "CleaningError",
     "DistanceError",
     "TransportError",
-    "SamplingError",
     "ExperimentError",
     "StoreError",
     "UnitTimeoutError",
@@ -57,10 +56,6 @@ class DistanceError(ReproError):
 
 class TransportError(DistanceError):
     """The transportation problem underlying EMD failed to solve."""
-
-
-class SamplingError(ReproError, ValueError):
-    """A sampling scheme received invalid parameters."""
 
 
 class ExperimentError(ReproError):

@@ -180,12 +180,6 @@ def cell_key(cell: SweepCell) -> CellKey:
     identity) — the planner then treats the cell as uncacheable and always
     recomputes it.
     """
-    return _keyed(cell, {})
-
-
-def _keyed(cell: SweepCell, bundle_keys: dict[int, str]) -> CellKey:
-    """:func:`cell_key`, reusing the content keys in *bundle_keys*
-    (``id(bundle) -> key``) and adding the ones it computes."""
     import json
 
     from repro.store.catalog import (
@@ -197,9 +191,7 @@ def _keyed(cell: SweepCell, bundle_keys: dict[int, str]) -> CellKey:
     )
 
     if cell.bundle is not None:
-        if id(cell.bundle) not in bundle_keys:
-            bundle_keys[id(cell.bundle)] = cell.bundle.content_key()
-        pop_key = bundle_keys[id(cell.bundle)]
+        pop_key = cell.bundle.content_key()
     else:
         gen_cfg, inj_cfg = _recipe_configs(cell)
         pop_key = population_recipe_key(gen_cfg, inj_cfg, cell.seed)
@@ -244,18 +236,17 @@ class SweepPlan:
 def plan_sweep(cells: Sequence[SweepCell]) -> SweepPlan:
     """Key every cell of a sweep (no data is touched, nothing is built).
 
-    A bundle's content key hashes every series, so each distinct bundle is
-    hashed once per plan, however many cells share it.
+    A bundle's content key hashes every series; the bundle memoises it, so
+    each distinct bundle is hashed once, however many cells share it.
     """
     cells = list(cells)
     names = [c.name for c in cells]
     if len(set(names)) != len(names):
         raise ExperimentError(f"duplicate cell names: {names}")
     keys: dict[str, Optional[CellKey]] = {}
-    bundle_keys: dict[int, str] = {}
     for cell in cells:
         try:
-            keys[cell.name] = _keyed(cell, bundle_keys)
+            keys[cell.name] = cell_key(cell)
         except ValidationError:
             keys[cell.name] = None
     return SweepPlan(cells=cells, keys=keys)

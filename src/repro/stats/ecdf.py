@@ -1,20 +1,17 @@
 """Empirical cumulative distribution functions.
 
 The exact 1-D Earth Mover's Distance is the L1 distance between ECDFs, so this
-module is the foundation of the fast univariate EMD path. The mergeable
-:class:`EcdfSketch` carries the same information slab by slab — the streaming
-engine's CDF-distance counterpart of the mergeable histogram accumulators.
+module is the foundation of the fast univariate EMD path and of the
+Kolmogorov-Smirnov distance.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["Ecdf", "EcdfSketch"]
+__all__ = ["Ecdf"]
 
 
 class Ecdf:
@@ -67,218 +64,3 @@ class Ecdf:
         g = other(grid[:-1])
         widths = np.diff(grid)
         return float(np.sum(np.abs(f - g) * widths))
-
-
-class EcdfSketch:
-    """A mergeable summary of one scalar stream's empirical CDF.
-
-    The streaming counterpart of :class:`Ecdf`: slabs fold in with
-    :meth:`add`, partial sketches combine with :meth:`merge`, and the
-    CDF-level distances (:meth:`ks_distance`, :meth:`l1_distance`) read
-    straight off the summary — no pooled sample array ever exists as such.
-
-    **Exact mode** (``max_size=None``, the default — and whenever the
-    number of *distinct* values stays within ``max_size``): the sketch holds
-    the full value multiset as distinct sorted values with integer count
-    weights. Folding and merging are then *exact and associative* — any
-    slab slicing or merge-tree order yields the same summary, and
-    :meth:`__call__` / :meth:`ks_distance` / :meth:`l1_distance` equal the
-    pooled :class:`Ecdf` results **bitwise** (same ``searchsorted``, same
-    integer-valued cumulative weights, same division).
-
-    **Compressed mode**: once distinct values exceed ``max_size``, the
-    summary is compacted to at most ``max_size`` weighted order statistics
-    at evenly spaced cumulative-mass positions. The CDF stays *exact at
-    every retained point*; between retained points the rank error of one
-    compaction is at most ``n / max_size`` observations. Compressed merges
-    are no longer order-independent (the usual sketch trade) — ``exact``
-    reports which regime a sketch is in.
-
-    Non-finite values are dropped on the way in (they carry no
-    distributional mass, matching :class:`Ecdf`); a sketch that never saw a
-    finite value has ``n == 0`` — the "unpopulated attribute" signal the
-    distance layer skips over.
-    """
-
-    __slots__ = (
-        "max_size", "_values", "_weights", "_n", "_compressed",
-        "_pending", "_pending_size",
-    )
-
-    def __init__(self, max_size: Optional[int] = None):
-        if max_size is not None and max_size < 2:
-            raise ValidationError("max_size must be at least 2 (or None for exact)")
-        self.max_size = max_size
-        self._values = np.empty(0)
-        self._weights = np.empty(0)
-        self._n = 0
-        self._compressed = False
-        # Incoming (values, weights) slabs buffered until they rival the
-        # consolidated summary in size: consolidating then costs one sort
-        # over ~2x the retained set, so total fold work stays O(n log n)
-        # over any slab slicing instead of one full re-sort per slab. The
-        # buffered multiset is identical either way, so exact-mode results
-        # are unchanged bit for bit.
-        self._pending: "list[tuple[np.ndarray, np.ndarray]]" = []
-        self._pending_size = 0
-
-    # -- building ------------------------------------------------------------
-
-    def add(self, values: np.ndarray) -> "EcdfSketch":
-        """Fold one slab of raw values (non-finite entries are dropped)."""
-        arr = np.asarray(values, dtype=float).ravel()
-        finite = arr[np.isfinite(arr)]
-        if finite.size:
-            self._n += int(finite.size)
-            self._defer(finite, np.ones(finite.size))
-        return self
-
-    def merge(self, other: "EcdfSketch") -> "EcdfSketch":
-        """Fold another sketch's summary into this one."""
-        other._consolidate()
-        if other._n:
-            self._n += other._n
-            self._compressed = self._compressed or other._compressed
-            self._defer(other._values, other._weights)
-        return self
-
-    def _defer(self, values: np.ndarray, weights: np.ndarray) -> None:
-        self._pending.append((values, weights))
-        self._pending_size += values.size
-        if self._pending_size >= max(self._values.size, 256):
-            self._consolidate()
-
-    def _consolidate(self) -> None:
-        if not self._pending:
-            return
-        merged = np.concatenate([self._values] + [v for v, _ in self._pending])
-        uniq, inverse = np.unique(merged, return_inverse=True)
-        self._values = uniq
-        self._weights = np.bincount(
-            inverse,
-            weights=np.concatenate(
-                [self._weights] + [w for _, w in self._pending]
-            ),
-        )
-        self._pending = []
-        self._pending_size = 0
-        if self.max_size is not None and self._values.size > self.max_size:
-            self._compress()
-
-    def _compress(self) -> None:
-        self._compressed = True
-        cum = np.cumsum(self._weights)
-        total = cum[-1]
-        ranks = total * (np.arange(1, self.max_size + 1) / self.max_size)
-        idx = np.searchsorted(cum, ranks, side="left")
-        # Keep the minimum so the support (and the L1 grid) stays exact.
-        idx = np.union1d(np.clip(idx, 0, cum.size - 1), [0])
-        kept = cum[idx]
-        self._values = self._values[idx]
-        self._weights = np.diff(np.concatenate([[0.0], kept]))
-
-    # -- reading -------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Total number of finite observations folded in."""
-        return self._n
-
-    @property
-    def exact(self) -> bool:
-        """Whether the summary still equals the pooled ECDF exactly."""
-        self._consolidate()
-        return not self._compressed
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Minimum and maximum retained values."""
-        if self._n == 0:
-            raise ValidationError("empty EcdfSketch has no support")
-        self._consolidate()
-        return float(self._values[0]), float(self._values[-1])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate ``F(x) = P(X <= x)`` at the given points."""
-        if self._n == 0:
-            raise ValidationError("empty EcdfSketch has no CDF")
-        self._consolidate()
-        x = np.asarray(x, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self._weights)])
-        return cum[np.searchsorted(self._values, x, side="right")] / self._n
-
-    def quantile(self, q: np.ndarray) -> np.ndarray:
-        """Order statistics of the folded multiset, replaying ``np.quantile``.
-
-        Computes the same linear-interpolation (Hyndman & Fan type 7)
-        quantiles ``np.quantile(pooled, q)`` would return for the pooled
-        sample, directly from the weighted summary: the virtual sorted-array
-        index ``(n - 1) * q`` is resolved against the cumulative weights, and
-        the interpolation replays numpy's ``_lerp`` arithmetic — including
-        its ``t >= 0.5`` rewrite ``b - (b - a) * (1 - t)`` — operation for
-        operation. In **exact mode** the result is therefore bitwise equal to
-        pooling and calling ``np.quantile``; this is what lets quantile bin
-        edges be frozen from a streamed reference (the streaming KL/JS path)
-        without ever materialising the pooled sample. In compressed mode the
-        retained order statistics stand in for the full multiset, so
-        quantiles inherit the sketch's documented rank-error tolerance.
-        """
-        if self._n == 0:
-            raise ValidationError("empty EcdfSketch has no quantiles")
-        self._consolidate()
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValidationError("quantile levels must lie in [0, 1]")
-        scalar = q.ndim == 0
-        q = np.atleast_1d(q)
-        cum = np.cumsum(self._weights)
-        n = self._n
-        virtual = (n - 1) * q
-        previous = np.floor(virtual)
-        nxt = previous + 1
-        above = virtual >= n - 1
-        previous[above] = n - 1
-        nxt[above] = n - 1
-        below = virtual < 0
-        previous[below] = 0
-        nxt[below] = 0
-        # Map virtual sorted-array positions to retained values: position j
-        # holds values[i] where the cumulative weight first exceeds j.
-        a = self._values[np.searchsorted(cum, previous.astype(np.intp), side="right")]
-        b = self._values[np.searchsorted(cum, nxt.astype(np.intp), side="right")]
-        gamma = np.asarray(virtual - previous, dtype=virtual.dtype)
-        diff = b - a
-        out = a + diff * gamma
-        hi = gamma >= 0.5
-        if np.any(hi):
-            out[hi] = (b - diff * (1 - gamma))[hi]
-        return out[0] if scalar else out
-
-    # -- distances -----------------------------------------------------------
-
-    def ks_distance(self, other: "EcdfSketch") -> float:
-        """``sup_x |F(x) - G(x)|`` — the two-sample KS statistic.
-
-        Both step functions are constant between the union of their jump
-        points, so the supremum over the reals is the maximum over that
-        union — exactly the grid the pooled path evaluates.
-        """
-        self._consolidate()
-        other._consolidate()
-        grid = np.union1d(self._values, other._values)
-        if grid.size == 0:
-            raise ValidationError("cannot compare empty EcdfSketches")
-        return float(np.max(np.abs(self(grid) - other(grid))))
-
-    def l1_distance(self, other: "EcdfSketch") -> float:
-        """Integral of ``|F - G|`` — the exact 1-D EMD in exact mode."""
-        self._consolidate()
-        other._consolidate()
-        grid = np.union1d(self._values, other._values)
-        if grid.size == 0:
-            raise ValidationError("cannot compare empty EcdfSketches")
-        if grid.size == 1:
-            return 0.0
-        f = self(grid[:-1])
-        g = other(grid[:-1])
-        return float(np.sum(np.abs(f - g) * np.diff(grid)))

@@ -5,7 +5,6 @@ from repro.utils.validation import (
     check_fraction,
     check_positive_int,
     check_probability,
-    ensure_1d,
     ensure_2d,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "check_fraction",
     "check_positive_int",
     "check_probability",
-    "ensure_1d",
     "ensure_2d",
 ]

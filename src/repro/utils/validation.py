@@ -21,7 +21,6 @@ __all__ = [
     "check_finite",
     "check_fraction",
     "check_probability",
-    "ensure_1d",
     "ensure_2d",
     "env_flag",
 ]
@@ -76,14 +75,6 @@ def check_probability(value: Any, name: str) -> float:
     if not 0.0 <= value <= 1.0 or np.isnan(value):
         raise ValidationError(f"{name} must be a probability in [0, 1], got {value}")
     return value
-
-
-def ensure_1d(values: Any, name: str) -> np.ndarray:
-    """Coerce *values* to a 1-D float array, rejecting higher ranks."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    return arr
 
 
 def ensure_2d(values: Any, name: str) -> np.ndarray:

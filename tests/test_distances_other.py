@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
+from scipy import stats as scipy_stats
+from scipy.spatial import distance as scipy_distance
 
+from repro.core.distortion import statistical_distortion_batch
+from repro.data.dataset import StreamDataset
+from repro.data.stream import TimeSeries
+from repro.data.topology import NodeId
 from repro.distance import DISTANCES, distance_by_name
-from repro.distance.emd import emd_1d
+from repro.distance.emd import EarthMoverDistance, emd_1d
 from repro.distance.emd_approx import MarginalEmd, SlicedEmd
 from repro.distance.histogram import SparseHistogram
 from repro.distance.kl import JensenShannonDistance, KLDivergence, aligned_probs
@@ -238,10 +245,208 @@ class TestKS:
         assert got == max(per_attr)
 
 
+def _as_dataset(rows):
+    """Wrap pooled rows as a single-series dataset for the batch API."""
+    return StreamDataset([TimeSeries(NodeId(0, 0, 0), rows)])
+
+
+def _ks_oracle(p, q):
+    """Max over attributes of scipy's two-sample KS on each column's
+    finite values; attributes unpopulated on either side are skipped."""
+    stats = []
+    for j in range(p.shape[1]):
+        x, y = p[:, j], q[:, j]
+        x, y = x[np.isfinite(x)], y[np.isfinite(y)]
+        if x.size and y.size:
+            stats.append(scipy_stats.ks_2samp(x, y).statistic)
+    return max(stats)
+
+
+def _aligned_panel(distance, p, qs):
+    """Each candidate's aligned ``(reference, candidate)`` bin masses on
+    the panel's shared grid."""
+    hp, hqs = distance.binner.histogram_group(p, qs)
+    return [aligned_probs(hp, hq) for hq in hqs]
+
+
+class TestPooledOracles:
+    """The pooled path every engine runs, checked against scipy rather
+    than against another in-house implementation."""
+
+    @pytest.fixture()
+    def panel(self, rng):
+        p = rng.gamma(1.5, 2.0, size=(400, 3))
+        qs = [
+            rng.gamma(1.7, 2.1, size=(350, 3)),
+            np.clip(p, None, np.quantile(p, 0.9, axis=0)),
+            p[:300] + rng.normal(0, 0.1, size=(300, 3)),
+        ]
+        return p, qs
+
+    def test_ks_matches_scipy(self, panel):
+        p, qs = panel
+        got = statistical_distortion_batch(
+            _as_dataset(p), [_as_dataset(q) for q in qs],
+            distance=KolmogorovSmirnovDistance(),
+        )
+        for value, q in zip(got, qs):
+            assert value == pytest.approx(_ks_oracle(p, q), rel=1e-12)
+
+    def test_ks_per_column_nans_match_scipy(self, rng):
+        # The pooled path keeps NaN-bearing rows for KS: each attribute
+        # drops its own NaNs, and a blanked column is skipped instead of
+        # erasing the other attributes.
+        p = rng.normal(size=(300, 2))
+        partial = p + np.array([2.0, 0.0])
+        partial[partial[:, 0] > 2.0, 1] = np.nan
+        blanked = p.copy()
+        blanked[:, 1] = np.nan
+        ks = KolmogorovSmirnovDistance()
+        got = statistical_distortion_batch(
+            _as_dataset(p), [_as_dataset(partial), _as_dataset(blanked)],
+            distance=ks,
+        )
+        assert got == ks.pairwise(p, [partial, blanked])
+        assert got[0] == pytest.approx(_ks_oracle(p, partial), rel=1e-12)
+        assert got[1] == pytest.approx(_ks_oracle(p, blanked), rel=1e-12)
+        assert got[1] == pytest.approx(
+            scipy_stats.ks_2samp(p[:, 0], blanked[:, 0]).statistic, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("binning", ["quantile", "uniform"])
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    def test_kl_matches_scipy_rel_entr(self, panel, binning, symmetrized):
+        p, qs = panel
+        kl = KLDivergence(binning=binning, symmetrized=symmetrized)
+        got = kl.pairwise(p, qs)
+        for value, (ap, aq) in zip(got, _aligned_panel(kl, p, qs)):
+            # Documented smoothing: pseudo_count added to each of the k
+            # union bins, renormalised by 1 + k * pseudo_count.
+            norm = 1.0 + ap.size * kl.pseudo_count
+            a = (ap + kl.pseudo_count) / norm
+            b = (aq + kl.pseudo_count) / norm
+            forward = scipy_special.rel_entr(a, b).sum()
+            expected = (
+                0.5 * (forward + scipy_special.rel_entr(b, a).sum())
+                if symmetrized
+                else forward
+            )
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("binning", ["quantile", "uniform"])
+    def test_js_matches_scipy_jensenshannon(self, panel, binning):
+        p, qs = panel
+        js = JensenShannonDistance(binning=binning)
+        got = js.pairwise(p, qs)
+        for value, (ap, aq) in zip(got, _aligned_panel(js, p, qs)):
+            expected = scipy_distance.jensenshannon(ap, aq)  # natural log
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_batch_pooling_honours_per_column_distances(self, rng):
+        # Regression: the framework pooling layer used to complete-case
+        # filter for every distance, so a blanked column erased the whole
+        # sample before KS could apply its per-attribute semantics.
+        p = rng.gamma(1.5, 2.0, size=(200, 2))
+        q = p.copy()
+        q[:, 1] = np.nan
+        ks = KolmogorovSmirnovDistance()
+        got = statistical_distortion_batch(_as_dataset(p), [_as_dataset(q)], distance=ks)
+        assert got == ks.pairwise(p, [q])
+        # Complete-case distances keep the old contract: nothing to bin.
+        with pytest.raises(DistanceError):
+            statistical_distortion_batch(
+                _as_dataset(p), [_as_dataset(q)],
+                distance=EarthMoverDistance(exact_1d=False),
+            )
+
+
+#: The histogram and ECDF distances of the pooled path, on an identity frame
+#: so that nothing but the binning (or the sorted ECDF) sees the rows.
+PANEL_DISTANCES = {
+    "emd": lambda: EarthMoverDistance(n_bins=8, standardize=False, exact_1d=False),
+    "kl": lambda: KLDivergence(n_bins=8, standardize=False),
+    "kl-sym": lambda: KLDivergence(n_bins=8, standardize=False, symmetrized=True),
+    "js": lambda: JensenShannonDistance(n_bins=8, standardize=False),
+    "ks": lambda: KolmogorovSmirnovDistance(),
+}
+
+
+def _panel_sample(n, d, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return scale * rng.gamma(1.5, 2.0, size=(n, d)) + rng.normal(0, 1, size=(n, d))
+
+
+class TestPooledPanelInvariants:
+    """What a strategy panel's values may and may not depend on.
+
+    Bin counts and sorted ECDFs are functions of the sample as a multiset,
+    so the order rows arrive in (a slab engine and the block engine pool
+    them differently) never changes a value, bit for bit; neither does the
+    order of the candidates within one panel.
+    """
+
+    @pytest.fixture()
+    def panel(self):
+        p = _panel_sample(500, 2, seed=20)
+        qs = [_panel_sample(400, 2, seed=21), _panel_sample(380, 2, seed=22, scale=1.4)]
+        return p, qs
+
+    @pytest.mark.parametrize("name", sorted(PANEL_DISTANCES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_order_never_changes_values(self, panel, name, seed):
+        p, qs = panel
+        distance = PANEL_DISTANCES[name]()
+        rng = np.random.default_rng(seed)
+        shuffled_p = p[rng.permutation(len(p))]
+        shuffled_qs = [q[rng.permutation(len(q))] for q in qs]
+        assert distance.pairwise(shuffled_p, shuffled_qs) == distance.pairwise(p, qs)
+
+    @pytest.mark.parametrize("name", sorted(PANEL_DISTANCES))
+    def test_candidate_order_never_changes_values(self, panel, name):
+        p, qs = panel
+        distance = PANEL_DISTANCES[name]()
+        forward = distance.pairwise(p, qs)
+        assert distance.pairwise(p, qs[::-1]) == forward[::-1]
+
+    @pytest.mark.parametrize("name", sorted(PANEL_DISTANCES))
+    def test_panel_of_one_matches_single_pair(self, panel, name):
+        p, qs = panel
+        distance = PANEL_DISTANCES[name]()
+        for q in qs:
+            assert distance.pairwise(p, [q]) == [distance(p, q)]
+
+    @pytest.mark.parametrize("name", sorted(PANEL_DISTANCES))
+    def test_batch_matches_pairwise_on_pooled_rows(self, panel, name):
+        p, qs = panel
+        distance = PANEL_DISTANCES[name]()
+        got = statistical_distortion_batch(
+            _as_dataset(p), [_as_dataset(q) for q in qs], distance=distance
+        )
+        assert got == distance.pairwise(p, qs)
+
+    @pytest.mark.parametrize("name", ["kl", "kl-sym", "js"])
+    def test_out_of_support_mass_keeps_panel_ordering(self, name):
+        # KL/JS respond to how candidate mass outside the reference support
+        # is binned; on the panel's union grid a candidate that moves mass
+        # out of that support must still rank behind one that stays inside.
+        p = _panel_sample(600, 3, seed=21)
+        perm = np.random.default_rng(5).permutation(len(p))
+        inside = p[perm][:450]
+        outside = p[perm[::-1]][:420] + 3.0 * p.std(axis=0)
+        distance = {
+            "kl": lambda: KLDivergence(n_bins=8, binning="uniform"),
+            "kl-sym": lambda: KLDivergence(
+                n_bins=8, binning="uniform", symmetrized=True
+            ),
+            "js": lambda: JensenShannonDistance(n_bins=8, binning="uniform"),
+        }[name]()
+        near, far = distance.pairwise(p, [inside, outside])
+        assert 0.0 <= near < far
+
+
 class TestDivergenceProperties:
-    """Property tests over random sample pairs (satellite of the streaming
-    distances PR): JS stays within its analytic bound, symmetrized KL is
-    symmetric, under any draw."""
+    """Property tests over random sample pairs: JS stays within its
+    analytic bound, symmetrized KL is symmetric, under any draw."""
 
     @given(st.integers(0, 10_000), st.floats(-3, 3), st.floats(0.1, 4))
     @settings(max_examples=25, deadline=None)

@@ -32,10 +32,6 @@ def test_constraint_error_is_value_error():
     assert issubclass(errors.ConstraintError, ValueError)
 
 
-def test_sampling_error_is_value_error():
-    assert issubclass(errors.SamplingError, ValueError)
-
-
 def test_transport_error_is_distance_error():
     assert issubclass(errors.TransportError, errors.DistanceError)
 

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.distance.histogram import HistogramBinner, SparseHistogram
+from repro.distance.histogram import (
+    HistogramBinner,
+    HistogramGrid,
+    SparseHistogram,
+    clear_frame_cache,
+)
 from repro.errors import DistanceError
 
 
@@ -125,3 +130,134 @@ class TestBinnerBehaviour:
         assert hp.probs.sum() == pytest.approx(1.0)
         assert hq.probs.sum() == pytest.approx(1.0)
         assert hp.centers.shape[1] == p.shape[1]
+
+    @pytest.mark.parametrize("binning", ["uniform", "quantile"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_order_never_changes_group_histograms(self, binning, seed):
+        # Bin assignment is per row and counts add exactly, so however the
+        # pooled rows are ordered the panel's histograms agree bit for bit.
+        p = sample_2d(10, n=300, d=3)
+        qs = [sample_2d(11, n=250, d=3) * 1.5, sample_2d(12, n=280, d=3) + 0.5]
+        b = HistogramBinner(n_bins=6, binning=binning, standardize=False)
+        hp_ref, hqs_ref = b.histogram_group(p, qs)
+        rng = np.random.default_rng(seed)
+        hp, hqs = b.histogram_group(
+            p[rng.permutation(len(p))], [q[rng.permutation(len(q))] for q in qs]
+        )
+        for got, ref in zip([hp, *hqs], [hp_ref, *hqs_ref]):
+            assert np.array_equal(got.keys, ref.keys)
+            assert np.array_equal(got.probs, ref.probs)
+            assert np.array_equal(got.centers, ref.centers)
+
+    def test_group_needs_a_candidate(self):
+        with pytest.raises(DistanceError):
+            HistogramBinner().histogram_group(sample_2d(0), [])
+
+    def test_extreme_candidate_coarsens_shared_grid(self):
+        # The group grid spans every candidate: a far-off candidate widens
+        # the uniform bins, so the reference lands in fewer of them than on
+        # its own pair grid.
+        p = sample_2d(13)
+        near = sample_2d(14)
+        b = HistogramBinner(n_bins=8, binning="uniform", standardize=False)
+        hp_pair, _ = b.histogram_pair(p, near)
+        hp_group, _ = b.histogram_group(p, [near, near + 50.0])
+        assert hp_group.n_bins < hp_pair.n_bins
+
+
+def _grid(d, n_edges=5):
+    edges = tuple(np.linspace(-2.0, 2.0, n_edges) * (j + 1) for j in range(d))
+    return HistogramGrid(shift=np.zeros(d), scale=np.ones(d), edges=edges)
+
+
+class TestHistogramGrid:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keys_match_ravel_multi_index_oracle(self, d):
+        grid = _grid(d)
+        rows = np.random.default_rng(d).uniform(-1.9, 1.9, size=(200, d))
+        idx = [
+            np.searchsorted(e, rows[:, j], side="right") - 1
+            for j, e in enumerate(grid.edges)
+        ]
+        expected = np.ravel_multi_index(idx, tuple(grid.dims))
+        assert np.array_equal(grid.keys_for(rows), expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_centers_round_trip_to_their_keys(self, d):
+        grid = _grid(d)
+        keys = np.arange(int(np.prod(grid.dims)))
+        centers = grid.centers_for(keys)
+        assert centers.shape == (keys.size, d)
+        assert np.array_equal(grid.keys_for(centers, standardized=True), keys)
+
+    def test_out_of_range_rows_clip_to_edge_bins(self):
+        grid = _grid(1)
+        keys = grid.keys_for(np.array([[-100.0], [-2.0], [2.0], [100.0]]))
+        assert keys.tolist() == [0, 0, 3, 3]
+
+    def test_frame_applies_before_binning(self):
+        grid = HistogramGrid(
+            shift=np.array([10.0]), scale=np.array([2.0]),
+            edges=(np.array([-1.0, 0.0, 1.0]),),
+        )
+        raw = np.array([[9.0], [11.0]])
+        assert grid.keys_for(raw).tolist() == [0, 1]
+        assert np.array_equal(
+            grid.keys_for(grid.standardize(raw), standardized=True),
+            grid.keys_for(raw),
+        )
+
+    def test_histogram_probs_are_bin_frequencies(self):
+        grid = _grid(1)
+        h = grid.histogram(np.array([[-1.5], [-1.5], [0.5], [1.5]]))
+        assert h.keys.tolist() == [0, 2, 3]
+        assert h.probs.tolist() == [0.5, 0.25, 0.25]
+        assert np.array_equal(h.centers, grid.centers_for(h.keys))
+
+    def test_frame_shape_mismatch_rejected(self):
+        with pytest.raises(DistanceError):
+            HistogramGrid(
+                shift=np.zeros(2), scale=np.ones(2), edges=(np.array([0.0, 1.0]),)
+            )
+
+    def test_single_edge_rejected(self):
+        with pytest.raises(DistanceError):
+            HistogramGrid(shift=np.zeros(1), scale=np.ones(1), edges=(np.array([0.0]),))
+
+    def test_rows_of_wrong_width_rejected(self):
+        with pytest.raises(DistanceError):
+            _grid(2).keys_for(np.zeros((4, 3)))
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DistanceError):
+            _grid(2).histogram(np.zeros((0, 2)))
+
+
+class TestFrameMemo:
+    def test_shared_reference_frame_is_memoised(self):
+        clear_frame_cache()
+        binner = HistogramBinner(n_bins=8)
+        p = sample_2d(6, n=200, d=3)
+        shift1, scale1 = binner.reference_frame(p)
+        shift2, scale2 = binner.reference_frame(p.copy())
+        # Same content -> the very same cached arrays, no recomputation.
+        assert shift1 is shift2 and scale1 is scale2
+
+    def test_different_content_gets_different_frame(self):
+        clear_frame_cache()
+        binner = HistogramBinner(n_bins=8)
+        p = sample_2d(7, n=100)
+        shift1, _ = binner.reference_frame(p)
+        shift2, _ = binner.reference_frame(p + 1.0)
+        assert not np.array_equal(shift1, shift2)
+
+    def test_cache_never_changes_results(self):
+        clear_frame_cache()
+        binner = HistogramBinner(n_bins=8)
+        p = sample_2d(8, n=150, d=3)
+        q = sample_2d(9, n=150, d=3)
+        first = binner.histogram_pair(p, q)
+        second = binner.histogram_pair(p, q)  # frame served from cache
+        assert np.array_equal(first[0].probs, second[0].probs)
+        assert np.array_equal(first[1].probs, second[1].probs)
+        clear_frame_cache()

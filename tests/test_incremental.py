@@ -18,7 +18,6 @@ from repro.core.glitch_index import GlitchWeights, series_glitch_score
 from repro.core.incremental import (
     CHUNK_SERIES,
     CleanlinessFold,
-    DistortionFold,
     GlitchFold,
     IncrementalScorer,
     WindowJournal,
@@ -32,8 +31,7 @@ from repro.data.slab import SlabFeed
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
 from repro.data.window import StreamWindow
-from repro.distance.kl import KLDivergence
-from repro.errors import DistanceError, ValidationError
+from repro.errors import ValidationError
 from repro.glitches.constraints import paper_constraints
 from repro.experiments.config import SCALES, build_population
 from repro.glitches.detectors import (
@@ -47,7 +45,6 @@ from repro.glitches.missing import detect_missing
 from repro.glitches.types import GlitchType
 from repro.service import MonitoringSession
 from repro.store.catalog import Catalog, population_recipe_key
-from repro.stats.ecdf import EcdfSketch
 
 import test_streaming
 
@@ -398,74 +395,6 @@ class TestAnalysisColumn:
         col2 = ideal_column(series_chunks([s]), 1, transform)
         raw2 = s.values[:, 1]
         assert np.array_equal(col2, raw2[~np.isnan(raw2)])
-
-
-class TestEcdfQuantile:
-    @pytest.mark.parametrize("width", [1, 13, 97])
-    def test_quantile_bitwise_matches_np_quantile(self, width):
-        rng = np.random.default_rng(7)
-        pooled = rng.gamma(1.5, 2.0, size=500)
-        pooled[rng.choice(500, size=20, replace=False)] = pooled[0]  # ties
-        sketch = EcdfSketch()
-        for a in range(0, pooled.size, width):
-            sketch.add(pooled[a : a + width])
-        q = np.linspace(0.0, 1.0, 17)
-        assert np.array_equal(sketch.quantile(q), np.quantile(pooled, q))
-        assert sketch.quantile(0.5) == np.quantile(pooled, 0.5)
-
-    def test_empty_and_bad_levels(self):
-        sketch = EcdfSketch()
-        with pytest.raises(ValidationError):
-            sketch.quantile(0.5)
-        sketch.add(np.arange(5.0))
-        with pytest.raises(ValidationError):
-            sketch.quantile(1.5)
-
-
-class TestDistortionFold:
-    def test_quantile_histogram_slab_invariance(self):
-        rng = np.random.default_rng(11)
-        p = rng.gamma(1.5, 2.0, size=(300, 2))
-        q = rng.gamma(1.7, 2.1, size=(300, 2))
-
-        def run(width):
-            fold = DistortionFold(1, distance=KLDivergence())
-            for a in range(0, 300, width):
-                fold.observe_reference(p[a : a + width])
-            fold.freeze()
-            for a in range(0, 300, width):
-                fold.observe(p[a : a + width], [q[a : a + width]])
-            return fold.finalize()
-
-        assert run(64) == run(17) == run(300)
-
-    def test_error_messages_preserved(self):
-        with pytest.raises(DistanceError, match="at least one candidate"):
-            DistortionFold(0)
-        fold = DistortionFold(1)
-        with pytest.raises(DistanceError, match="no reference rows"):
-            fold.freeze()
-        fold.observe_reference(np.ones((5, 2)))
-        with pytest.raises(DistanceError, match="dimension mismatch"):
-            fold.observe_reference(np.ones((5, 3)))
-        fold.freeze()
-        with pytest.raises(DistanceError, match="no more reference slabs"):
-            fold.observe_reference(np.ones((5, 2)))
-        with pytest.raises(DistanceError, match="expected 1 candidate"):
-            fold.observe(np.ones((2, 2)), [])
-
-    def test_finalize_is_repeatable_and_non_destructive(self):
-        rng = np.random.default_rng(12)
-        p = rng.normal(size=(100, 2))
-        q = rng.normal(size=(100, 2))
-        fold = DistortionFold(1, distance=KLDivergence(binning="uniform"))
-        fold.observe_reference(p)
-        fold.freeze()
-        fold.observe(p[:50], [q[:50]])
-        first = fold.finalize()
-        assert fold.finalize() == first  # read again, same answer
-        fold.observe(p[50:], [q[50:]])  # live read then more folding
-        assert fold.finalize() is not None
 
 
 class TestIncrementalScorer:

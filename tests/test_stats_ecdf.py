@@ -1,6 +1,4 @@
-"""ECDF correctness — the foundation of the exact 1-D EMD — and the
-mergeable :class:`EcdfSketch` that carries the same information slab by
-slab for the streaming KS / exact-EMD paths."""
+"""ECDF correctness — the foundation of the exact 1-D EMD and of KS."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.errors import ValidationError
-from repro.stats.ecdf import Ecdf, EcdfSketch
+from repro.stats.ecdf import Ecdf
 
 finite_samples = st.lists(
     st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=80
@@ -49,6 +47,38 @@ class TestEcdfBasics:
             Ecdf([1.0]).quantile(1.5)
 
 
+def _tied_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.gamma(1.5, 2.0, size=n)
+    x[rng.choice(n, size=n // 5, replace=False)] = x[0]  # ties
+    return x
+
+
+class TestEcdfOracles:
+    @pytest.mark.parametrize("n", [1, 13, 97, 400])
+    def test_cdf_matches_counting_oracle(self, n):
+        x = _tied_sample(n, seed=n)
+        f = Ecdf(x)
+        grid = np.concatenate([x, np.random.default_rng(0).normal(3.0, 3.0, size=100)])
+        expected = (x[None, :] <= grid[:, None]).sum(axis=1) / n
+        assert np.array_equal(f(grid), expected)
+        assert f.n == n
+        assert f.support == (float(x.min()), float(x.max()))
+
+    @pytest.mark.parametrize("n", [1, 13, 97])
+    def test_quantile_matches_numpy_inverted_cdf(self, n):
+        x = _tied_sample(n, seed=n)
+        q = np.linspace(0.0, 1.0, 17)
+        expected = np.quantile(x, q, method="inverted_cdf")
+        assert np.array_equal(Ecdf(x).quantile(q), expected)
+        assert Ecdf(x).quantile(0.5) == np.quantile(x, 0.5, method="inverted_cdf")
+
+    def test_non_finite_dropped(self):
+        f = Ecdf([1.0, np.nan, np.inf, -np.inf, 2.0])
+        assert f.n == 2
+        assert f.support == (1.0, 2.0)
+
+
 class TestL1Distance:
     def test_identical_is_zero(self):
         f = Ecdf([1.0, 2.0, 3.0])
@@ -76,125 +106,3 @@ class TestL1Distance:
     def test_triangle_inequality(self, a, b, c):
         fa, fb, fc = Ecdf(a), Ecdf(b), Ecdf(c)
         assert fa.l1_distance(fc) <= fa.l1_distance(fb) + fb.l1_distance(fc) + 1e-9
-
-
-def _slabs(values, cuts):
-    bounds = [0, *cuts, len(values)]
-    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-class TestEcdfSketchExact:
-    """Exact mode must equal the pooled Ecdf bitwise, any slab slicing."""
-
-    @pytest.mark.parametrize("cuts", [(), (1,), (13, 200), (100, 101, 102)])
-    def test_cdf_matches_pooled_bitwise(self, rng, cuts):
-        x = rng.gamma(2.0, 1.5, size=400)
-        sketch = EcdfSketch()
-        for slab in _slabs(x, cuts):
-            sketch.add(slab)
-        pooled = Ecdf(x)
-        grid = np.concatenate([x, rng.normal(size=100)])
-        assert np.array_equal(sketch(grid), pooled(grid))
-        assert sketch.n == pooled.n
-        assert sketch.support == pooled.support
-        assert sketch.exact
-
-    def test_distances_match_pooled_bitwise(self, rng):
-        x = rng.normal(size=500)
-        y = rng.normal(0.4, 1.3, size=300)
-        sx = EcdfSketch().add(x[:123]).add(x[123:])
-        sy = EcdfSketch().add(y)
-        ex, ey = Ecdf(x), Ecdf(y)
-        assert sx.l1_distance(sy) == ex.l1_distance(ey)
-        grid = np.union1d(x, y)
-        assert sx.ks_distance(sy) == float(np.max(np.abs(ex(grid) - ey(grid))))
-
-    @given(
-        st.lists(finite_samples, min_size=2, max_size=5),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_associativity(self, slabs, shuffler):
-        """Any merge-tree order over per-slab sketches yields the identical
-        summary — the distributed-collection property the streaming layer
-        leans on."""
-        parts = [EcdfSketch().add(np.array(s)) for s in slabs]
-        left = EcdfSketch()
-        for p in parts:
-            left.merge(p)
-        # Rebuild (merge consumes nothing, but fold in a shuffled order and
-        # as a nested tree) — same values, same weights, bit for bit.
-        parts2 = [EcdfSketch().add(np.array(s)) for s in slabs]
-        shuffler.shuffle(parts2)
-        mid = len(parts2) // 2
-        tree_a, tree_b = EcdfSketch(), EcdfSketch()
-        for p in parts2[:mid]:
-            tree_a.merge(p)
-        for p in parts2[mid:]:
-            tree_b.merge(p)
-        tree = tree_a.merge(tree_b)
-        left._consolidate()
-        tree._consolidate()
-        assert np.array_equal(left._values, tree._values)
-        assert np.array_equal(left._weights, tree._weights)
-        assert left.n == tree.n
-
-    def test_non_finite_dropped(self):
-        sketch = EcdfSketch().add([1.0, np.nan, np.inf, -np.inf, 2.0])
-        assert sketch.n == 2
-        assert sketch.support == (1.0, 2.0)
-
-    def test_empty_sketch_signals_unpopulated(self):
-        empty = EcdfSketch().add([np.nan])
-        assert empty.n == 0
-        with pytest.raises(ValidationError):
-            empty.support
-        with pytest.raises(ValidationError):
-            empty(0.5)
-        with pytest.raises(ValidationError):
-            empty.ks_distance(EcdfSketch().add([1.0]))
-
-
-class TestEcdfSketchCompressed:
-    def test_max_size_validation(self):
-        with pytest.raises(ValidationError):
-            EcdfSketch(max_size=1)
-
-    def test_bounded_size_and_rank_error(self, rng):
-        x = rng.normal(size=5000)
-        sketch = EcdfSketch(max_size=64).add(x)
-        assert not sketch.exact
-        assert sketch.n == 5000
-        assert sketch._values.size <= 65  # max_size plus the kept minimum
-        pooled = Ecdf(x)
-        grid = np.linspace(x.min(), x.max(), 1000)
-        # One compaction: CDF exact at retained points, rank error between
-        # them bounded by one compaction bucket.
-        assert float(np.max(np.abs(sketch(grid) - pooled(grid)))) <= 2.0 / 64
-
-    def test_compressed_distances_near_exact(self, rng):
-        x = rng.normal(size=4000)
-        y = rng.normal(0.5, 1.2, size=4000)
-        exact = Ecdf(x).l1_distance(Ecdf(y))
-        ks_exact = EcdfSketch().add(x).ks_distance(EcdfSketch().add(y))
-        sx = EcdfSketch(max_size=128).add(x)
-        sy = EcdfSketch(max_size=128).add(y)
-        assert sx.l1_distance(sy) == pytest.approx(exact, rel=0.1, abs=0.02)
-        assert sx.ks_distance(sy) == pytest.approx(ks_exact, abs=4.0 / 128)
-
-    def test_support_minimum_survives_compression(self, rng):
-        x = rng.normal(size=2000)
-        sketch = EcdfSketch(max_size=16).add(x)
-        assert sketch.support == (float(x.min()), float(x.max()))
-
-    def test_buffered_folding_never_changes_exact_results(self, rng):
-        # The amortisation buffer is invisible: many tiny adds equal one
-        # big add bit for bit, whatever consolidation points they hit.
-        x = rng.normal(size=3000)
-        one_shot = EcdfSketch().add(x)
-        dribbled = EcdfSketch()
-        for a in range(0, 3000, 7):
-            dribbled.add(x[a : a + 7])
-        grid = rng.normal(size=500)
-        assert np.array_equal(one_shot(grid), dribbled(grid))
-        assert one_shot.ks_distance(dribbled) == 0.0

@@ -9,6 +9,8 @@ without changing a single float relative to standalone per-cell runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -383,30 +385,42 @@ class TestBundleCells:
 
     def test_plan_hashes_each_bundle_once(self, cfg, tiny_bundle, monkeypatch):
         """Every cell sharing a bundle shares one content hash per plan,
-        and the keys equal the unmemoised per-cell keys."""
+        and the keys equal the per-cell keys of equal bundles."""
         other = build_population(scale="tiny", seed=1)
-        cells = [
-            SweepCell(name="log", config=cfg.variant(log_transform=True),
-                      bundle=tiny_bundle),
-            SweepCell(name="raw", config=cfg.variant(log_transform=False),
-                      bundle=tiny_bundle),
-            SweepCell(name="recipe", config=cfg, scale="tiny"),
-            SweepCell(name="other", config=cfg, bundle=other),
-            SweepCell(name="other2", config=cfg.variant(seed=3), bundle=other),
-        ]
-        expected = {cell.name: cell_key(cell) for cell in cells}
+
+        def make_cells(first, second):
+            return [
+                SweepCell(name="log", config=cfg.variant(log_transform=True),
+                          bundle=first),
+                SweepCell(name="raw", config=cfg.variant(log_transform=False),
+                          bundle=first),
+                SweepCell(name="recipe", config=cfg, scale="tiny"),
+                SweepCell(name="other", config=cfg, bundle=second),
+                SweepCell(name="other2", config=cfg.variant(seed=3),
+                          bundle=second),
+            ]
+
+        # dataclasses.replace copies a bundle without its memoised key.
+        expected = {
+            cell.name: cell_key(cell)
+            for cell in make_cells(replace(tiny_bundle), replace(other))
+        }
+        first, second = replace(tiny_bundle), replace(other)
         calls = []
-        original = type(tiny_bundle).content_key
+        original = type(tiny_bundle).fingerprint
 
         def counted(bundle):
             calls.append(bundle)
             return original(bundle)
 
-        monkeypatch.setattr(type(tiny_bundle), "content_key", counted)
+        monkeypatch.setattr(type(tiny_bundle), "fingerprint", counted)
+        cells = make_cells(first, second)
         plan = plan_sweep(cells)
         assert plan.keys == expected
         assert len(calls) == 2
-        assert {id(b) for b in calls} == {id(tiny_bundle), id(other)}
+        assert {id(b) for b in calls} == {id(first), id(second)}
+        assert plan_sweep(cells).keys == expected
+        assert len(calls) == 2
 
     def test_bundle_sweep_round_trip(self, cfg, tiny_bundle, tmp_path):
         cells = [

@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_int,
     check_positive_int,
     check_probability,
-    ensure_1d,
     ensure_2d,
     env_flag,
 )
@@ -105,15 +104,6 @@ class TestCheckProbability:
 
 
 class TestEnsureDims:
-    def test_ensure_1d_accepts_list(self):
-        out = ensure_1d([1, 2, 3], "x")
-        assert out.shape == (3,)
-        assert out.dtype == float
-
-    def test_ensure_1d_rejects_2d(self):
-        with pytest.raises(ValidationError):
-            ensure_1d([[1, 2]], "x")
-
     def test_ensure_2d_accepts_nested(self):
         out = ensure_2d([[1, 2], [3, 4]], "x")
         assert out.shape == (2, 2)
