@@ -33,6 +33,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 import os
 import struct
 from typing import Optional, Sequence
@@ -59,6 +60,9 @@ SHARD_SUFFIX = ".slab"
 _MAGIC = b"REPROSLAB\x01"
 _ALIGN = 64
 _DTYPES = {"lengths": "<i8", "values": "<f8", "truth": "<f8"}
+#: Largest header a reader accepts. A real header is a few hundred bytes;
+#: the cap bounds what a corrupt length field can make the reader allocate.
+_MAX_HEADER = 1 << 20
 
 
 def _aligned(offset: int) -> int:
@@ -304,14 +308,56 @@ class ShardHandle:
         )
 
 
+def _segment_table(path: str, header) -> list[tuple[str, np.dtype, tuple]]:
+    """``(name, dtype, shape)`` per segment of a parsed header, in file order.
+
+    Raises :class:`~repro.errors.StoreError` for a header that does not
+    have the shape :func:`write_shard` writes: an object whose
+    ``attributes`` is a list of names and whose ``segments`` lists each
+    known segment at most once, with that segment's dtype and a shape of
+    non-negative integers (1-D ``lengths``, 2-D ``values`` and ``truth``).
+    """
+    if not isinstance(header, dict):
+        raise StoreError(f"{path}: shard header is not an object")
+    attributes = header.get("attributes", [])
+    if not isinstance(attributes, list) or not all(
+        isinstance(a, str) for a in attributes
+    ):
+        raise StoreError(f"{path}: header attributes must be a list of names")
+    segments = header.get("segments", [])
+    if not isinstance(segments, list):
+        raise StoreError(f"{path}: header segments must be a list")
+    table: dict[str, tuple] = {}
+    for spec in segments:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        if not isinstance(name, str) or name not in _DTYPES or name in table:
+            raise StoreError(f"{path}: unknown or repeated segment {name!r}")
+        if spec.get("dtype") != _DTYPES[name]:
+            raise StoreError(
+                f"{path}: segment {name!r} has dtype {spec.get('dtype')!r}, "
+                f"not {_DTYPES[name]!r}"
+            )
+        shape = spec.get("shape")
+        if (
+            not isinstance(shape, list)
+            or len(shape) != (1 if name == "lengths" else 2)
+            or not all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise StoreError(f"{path}: segment {name!r} has bad shape {shape!r}")
+        table[name] = tuple(shape)
+    return [(name, np.dtype(_DTYPES[name]), shape) for name, shape in table.items()]
+
+
 def read_shard(path: str) -> ShardHandle:
     """Open one shard file as memory-mapped segment views.
 
     Raises :class:`~repro.errors.StoreError` for anything that is not a
     complete, well-formed shard file — wrong magic (e.g. a legacy ``.npz``
-    left by an older run), a truncated header, or segments extending past
-    the end of the file — so callers can treat "unreadable" exactly like
-    "stale" and fall back to the seed recipe.
+    left by an older run), a truncated, oversized or malformed header,
+    segments extending past the end of the file, or series lengths that do
+    not cover the value rows — so callers can treat "unreadable" exactly
+    like "stale" and fall back to the seed recipe. The header length is
+    checked against the file size before anything is allocated for it.
     """
     try:
         size = os.path.getsize(path)
@@ -323,6 +369,11 @@ def read_shard(path: str) -> ShardHandle:
             if len(packed) != 8:
                 raise StoreError(f"{path}: truncated shard header")
             (header_len,) = struct.unpack("<Q", packed)
+            if header_len > min(size - len(_MAGIC) - 8, _MAX_HEADER):
+                raise StoreError(
+                    f"{path}: header length {header_len} exceeds the file "
+                    f"({size} bytes) or the {_MAX_HEADER}-byte cap"
+                )
             raw = fh.read(header_len)
             if len(raw) != header_len:
                 raise StoreError(f"{path}: truncated shard header")
@@ -335,11 +386,8 @@ def read_shard(path: str) -> ShardHandle:
 
     pos = len(_MAGIC) + 8 + header_len
     arrays: dict[str, np.ndarray] = {}
-    for spec in header.get("segments", []):
-        name = spec["name"]
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(int(d) for d in spec["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+    for name, dtype, shape in _segment_table(path, header):
+        nbytes = dtype.itemsize * math.prod(shape)
         pos = _aligned(pos)
         if pos + nbytes > size:
             raise StoreError(
@@ -356,6 +404,13 @@ def read_shard(path: str) -> ShardHandle:
     for required in ("lengths", "values"):
         if required not in arrays:
             raise StoreError(f"{path}: missing segment {required!r}")
+    lengths, values = arrays["lengths"], arrays["values"]
+    if (lengths < 0).any() or int(lengths.sum()) != values.shape[0]:
+        raise StoreError(
+            f"{path}: series lengths do not cover the {values.shape[0]} value rows"
+        )
+    if "truth" in arrays and arrays["truth"].shape != values.shape:
+        raise StoreError(f"{path}: truth is not shaped like values")
     return ShardHandle(
         path=path,
         fingerprint=str(header.get("fingerprint", "")),

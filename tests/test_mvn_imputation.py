@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.cleaning import mvn_imputation
 from repro.cleaning.base import CleaningContext
 from repro.cleaning.mvn_imputation import (
     MvnImputation,
     draw_conditional,
     fit_mvn_em,
 )
+from repro.cleaning.registry import paper_strategies
+from repro.core.framework import ExperimentConfig, ExperimentRunner
 from repro.errors import CleaningError
 from repro.glitches.detectors import ScaleTransform
 
@@ -60,6 +63,38 @@ class TestFitMvnEm:
         x, _, _ = mcar_sample(rng, n=400, missing=0.4)
         est = fit_mvn_em(x)
         assert np.linalg.eigvalsh(est.cov).min() > 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iter": 0},
+            {"max_iter": -3},
+            {"max_iter": 2.0},
+            {"tol": 0.0},
+            {"tol": -1e-6},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"ridge": -1e-9},
+            {"ridge": float("nan")},
+            {"ridge": float("inf")},
+        ],
+        ids=repr,
+    )
+    def test_rejects_bad_settings(self, rng, kwargs):
+        x, _, _ = mcar_sample(rng, n=50)
+        with pytest.raises(CleaningError):
+            fit_mvn_em(x, **kwargs)
+
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_rejects_infinite_cell(self, rng, cell):
+        x, _, _ = mcar_sample(rng, n=50)
+        x[7, 1] = cell
+        with pytest.raises(CleaningError, match="infinite"):
+            fit_mvn_em(x)
+
+    def test_zero_ridge_allowed(self, rng):
+        x, _, _ = mcar_sample(rng, n=400)
+        assert fit_mvn_em(x, ridge=0.0).converged
 
 
 class TestDrawConditional:
@@ -150,3 +185,29 @@ class TestMvnImputationTreatment:
     def test_rejects_bad_tol(self):
         with pytest.raises(CleaningError):
             MvnImputation(tol=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}],
+        ids=repr,
+    )
+    def test_rejects_bad_settings(self, kwargs):
+        with pytest.raises(CleaningError):
+            MvnImputation(**kwargs)
+
+    def test_one_fit_per_replication(self, tiny_bundle, monkeypatch):
+        """Strategies 1 and 2 pool the same blanked sample, so one
+        replication of the paper panel fits the MVN once, not twice."""
+        calls = []
+
+        def counting(data, **kwargs):
+            calls.append(kwargs)
+            return fit_mvn_em(data, **kwargs)
+
+        monkeypatch.setattr(mvn_imputation, "fit_mvn_em", counting)
+        config = ExperimentConfig(n_replications=1, sample_size=12, seed=0)
+        result = ExperimentRunner(
+            tiny_bundle.dirty, tiny_bundle.ideal, config=config
+        ).run(paper_strategies())
+        assert {o.strategy for o in result.outcomes} >= {"strategy1", "strategy2"}
+        assert len(calls) == 1

@@ -10,7 +10,9 @@ cells back bitwise-identically without rebuilding the population.
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 
 from repro.cleaning.registry import paper_strategies
 from repro.core.framework import ExperimentConfig
+from repro.core.streaming import StreamingExperiment
 from repro.data.generator import GeneratorConfig
 from repro.data.slab import SlabFeed, load_slab
 from repro.data.topology import NodeId
@@ -186,6 +189,92 @@ class TestShardRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreError, match="unreadable"):
             read_shard(str(tmp_path / "absent.slab"))
+
+    def test_oversized_header_length(self, tmp_path):
+        path = tmp_path / f"huge{SHARD_SUFFIX}"
+        write_shard(str(path), np.array([2], dtype=np.int64), np.zeros((2, 3)))
+        data = bytearray(path.read_bytes())
+        data[10:18] = struct.pack("<Q", 1 << 62)
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match="header length"):
+            read_shard(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda h: [h], id="list-header"),
+            pytest.param(lambda h: {**h, "segments": 5}, id="segments-not-list"),
+            pytest.param(lambda h: {**h, "attributes": 5}, id="attributes-not-list"),
+            pytest.param(lambda h: _seg(h, 0, name=None), id="segment-without-name"),
+            pytest.param(lambda h: _seg(h, 1, name="colour"), id="unknown-segment"),
+            pytest.param(lambda h: _seg(h, 1, name="lengths"), id="repeated-segment"),
+            pytest.param(lambda h: _seg(h, 1, dtype="<c16"), id="unknown-dtype"),
+            pytest.param(lambda h: _seg(h, 1, dtype="<f4"), id="float32-values"),
+            pytest.param(lambda h: _seg(h, 1, shape=[-1, 3]), id="negative-shape"),
+            pytest.param(lambda h: _seg(h, 1, shape=[2.5, 3]), id="float-shape"),
+            pytest.param(lambda h: _seg(h, 1, shape=[7]), id="values-1d"),
+            pytest.param(lambda h: _seg(h, 0, shape=[1]), id="lengths-cut"),
+            pytest.param(lambda h: _seg(h, 2, shape=[6, 3]), id="truth-misshaped"),
+        ],
+    )
+    def test_malformed_header(self, tmp_path, mutate):
+        path = tmp_path / f"bad{SHARD_SUFFIX}"
+        write_shard(
+            str(path),
+            np.array([3, 4], dtype=np.int64),
+            np.zeros((7, 3)),
+            truth=np.ones((7, 3)),
+        )
+        _rewrite_header(path, mutate)
+        with pytest.raises(StoreError):
+            read_shard(str(path))
+
+    def test_bad_shard_in_spill_dir_regenerates_bitwise(self, tmp_path):
+        cfg = ExperimentConfig(n_replications=2, sample_size=10, seed=11)
+        strategies = paper_strategies()
+        clean = StreamingExperiment.from_scale(
+            "tiny", seed=0, config=cfg, spill_dir=str(tmp_path / "clean")
+        ).run(strategies)
+        spill = tmp_path / "reused"
+        StreamingExperiment.from_scale(
+            "tiny", seed=0, config=cfg, spill_dir=str(spill)
+        ).run(strategies)
+        bad = sorted(spill.iterdir())[1]
+        _rewrite_header(bad, lambda h: [h])
+        with pytest.warns(StoreWarning, match="unreadable"):
+            again = StreamingExperiment.from_scale(
+                "tiny", seed=0, config=cfg, spill_dir=str(spill)
+            ).run(strategies)
+        assert _keys(again.result) == _keys(clean.result)
+        assert read_shard(str(bad)).fingerprint  # overwritten with a good shard
+
+
+def _seg(header, index, **changes):
+    """*header* with segment *index*'s fields replaced (``None`` drops one)."""
+    segments = [dict(spec) for spec in header["segments"]]
+    for key, value in changes.items():
+        if value is None:
+            del segments[index][key]
+        else:
+            segments[index][key] = value
+    return {**header, "segments": segments}
+
+
+def _rewrite_header(path, mutate):
+    """Replace a shard file's JSON header by ``mutate(header)``, keeping the
+    segment bytes at the same 64-byte alignment after it."""
+
+    def aligned(offset):
+        return -(-offset // 64) * 64
+
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[10:18])
+    header = json.loads(data[18 : 18 + header_len])
+    segments = data[aligned(18 + header_len) :]
+    raw = json.dumps(mutate(header)).encode()
+    prefix = data[:10] + struct.pack("<Q", len(raw)) + raw
+    padding = b"\0" * (aligned(len(prefix)) - len(prefix))
+    path.write_bytes(prefix + padding + segments)
 
 
 # ---------------------------------------------------------------------------
