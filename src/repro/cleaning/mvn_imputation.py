@@ -33,6 +33,7 @@ from repro.data.block import SampleBlock
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.errors import CleaningError, ValidationError
+from repro.utils.rows import rows_all
 from repro.utils.validation import check_finite, check_positive_int
 
 __all__ = ["MvnEmEstimate", "fit_mvn_em", "draw_conditional", "MvnImputation"]
@@ -104,6 +105,22 @@ def _em_settings(max_iter, tol, ridge) -> tuple[int, float, float]:
     return max_iter, tol, ridge
 
 
+def _start_moments(
+    filled: np.ndarray, miss: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-attribute observed mean and (biased) variance of an ``(N, d)``
+    matrix, from its zero-filled form *filled* and missing mask *miss*.
+
+    The same sums and divisions ``np.nanmean`` / ``np.nanvar`` perform on
+    their own zero-filled copy, so bitwise their values, with no NaN scan
+    of the data.
+    """
+    count = len(filled) - miss.sum(axis=0)
+    mean = filled.sum(axis=0) / count
+    dev = np.where(miss, 0.0, filled - mean)
+    return mean, (dev * dev).sum(axis=0) / count
+
+
 def fit_mvn_em(
     data: np.ndarray,
     max_iter: int = 100,
@@ -142,24 +159,27 @@ def fit_mvn_em(
         raise CleaningError(f"data must be (N, d), got shape {x.shape}")
     if np.isinf(x).any():
         raise CleaningError("data has an infinite cell; only NaN marks a missing value")
-    x = x[~np.isnan(x).all(axis=1)]
+    x = np.ascontiguousarray(x)  # row-major sums, whatever the caller's layout
+    miss = np.isnan(x)
+    empty = rows_all(miss)
+    if empty.any():
+        x, miss = x[~empty], miss[~empty]
     n, d = x.shape
     if n < 2:
         raise CleaningError("EM needs at least 2 partially observed rows")
-    miss = np.isnan(x)
     groups = _pattern_groups(miss)
     patterns = np.array([np.frombuffer(key, dtype=bool) for key in groups])
     if patterns.all(axis=0).any():
         raise CleaningError("some attribute is missing in every row; cannot fit")
 
-    mean = np.nanmean(x, axis=0)
-    var = np.nanvar(x, axis=0)
+    filled = np.where(miss, 0.0, x)
+    mean, var = _start_moments(filled, miss)
     var = np.where(var > 0, var, 1.0)
     cov = np.diag(var)
 
     mis = patterns.astype(float)
     obs = 1.0 - mis
-    z = np.column_stack([np.ones(n), np.where(miss, 0.0, x)])
+    z = np.column_stack([np.ones(n), filled])
     moments = np.stack([z[idx].T @ z[idx] for idx in groups.values()])
     counts = np.array([idx.size for idx in groups.values()], dtype=float)
     eye = np.eye(d)

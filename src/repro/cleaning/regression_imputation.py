@@ -18,6 +18,7 @@ from repro.data.block import SampleBlock
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.errors import CleaningError
+from repro.utils.rows import complete_rows, nan_rows
 
 __all__ = ["RegressionImputation"]
 
@@ -42,7 +43,7 @@ class RegressionImputation(MissingInconsistentTreatment):
 
     def _fit(self, pooled: np.ndarray) -> list[tuple[np.ndarray, float]]:
         """Per-target ``(coef, intercept)`` fitted on complete rows."""
-        complete = pooled[~np.isnan(pooled).any(axis=1)]
+        complete = complete_rows(pooled)
         d = pooled.shape[1]
         if complete.shape[0] < d + 1:
             raise CleaningError(
@@ -83,7 +84,7 @@ class RegressionImputation(MissingInconsistentTreatment):
             predictors = [j for j in range(d) if j != target]
             coef, intercept = models[target]
             x = analysis[np.ix_(np.flatnonzero(gaps), predictors)]
-            usable = ~np.isnan(x).any(axis=1)
+            usable = ~nan_rows(x)
             pred = np.full(int(gaps.sum()), np.nan)
             pred[usable] = x[usable] @ coef + intercept
             filled[gaps, target] = pred

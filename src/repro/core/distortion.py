@@ -50,18 +50,15 @@ def _pooled_analysis(
     binning needs); ``keep_partial`` keeps them for distances with
     per-attribute NaN handling (KS).
     """
+    dropna = "none" if keep_partial else "any"
     if isinstance(sample, SampleBlock):
-        values = (
-            transform.forward_values(sample.values, sample.attributes)
-            if transform is not None
-            else sample.values
-        )
-        flat = values.reshape(-1, values.shape[-1])
-        if keep_partial:
-            return flat
-        return flat[~np.isnan(flat).any(axis=1)]
+        if transform is not None:
+            sample = sample.with_values(
+                transform.forward_values(sample.values, sample.attributes)
+            )
+        return sample.pooled(dropna)
     scaled = transform.apply_dataset(sample) if transform is not None else sample
-    return scaled.pooled(dropna="none" if keep_partial else "any")
+    return scaled.pooled(dropna)
 
 
 def statistical_distortion(

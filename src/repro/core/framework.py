@@ -332,11 +332,19 @@ def evaluate_pair_panels(
     # improvement axis, which only works under such a normalisation.
     if use_block:
         per_100 = 100.0 / block.n_series
-        dirty_glitches = suite.annotate_block(block)
+        # Each block is transformed to the suite's analysis scale once: the
+        # tensor serves both its outlier plane and its pooled distortion
+        # rows, which are then scored with no further transform.
+        dirty_analysis = suite.analysis_block(block)
+        reference = dirty_analysis.scaled
+        scoring_transform = None
+        dirty_glitches = suite.annotate_block(dirty_analysis)
         g_dirty = per_100 * float(
             series_glitch_scores_block(dirty_glitches, weights).sum()
         )
     else:
+        reference = pair.dirty
+        scoring_transform = config.transform
         per_100 = 100.0 / len(pair.dirty)
         dirty_glitches = suite.annotate_dataset(pair.dirty)
         g_dirty = per_100 * float(
@@ -354,9 +362,7 @@ def evaluate_pair_panels(
         keep_partial = not getattr(distance, "complete_case", True)
         if keep_partial not in pooled_refs:
             pooled_refs[keep_partial] = _pooled_analysis(
-                block if use_block else pair.dirty,
-                config.transform,
-                keep_partial=keep_partial,
+                reference, scoring_transform, keep_partial=keep_partial
             )
         if use_block:
             treated_list: list = []
@@ -368,20 +374,18 @@ def evaluate_pair_panels(
                 if treated is None:
                     treated = strategy.clean(pair.dirty, context).to_block()
                 treated_list.append(treated)
-            distortions = statistical_distortion_batch(
-                block, treated_list, distance=distance,
-                transform=config.transform,
-                pooled_reference=pooled_refs[keep_partial],
-            )
+            analyses = [suite.analysis_block(t) for t in treated_list]
+            scored = [a.scaled for a in analyses]
         else:
             treated_list = [
                 strategy.clean(pair.dirty, context) for strategy in panel
             ]
-            distortions = statistical_distortion_batch(
-                pair.dirty, treated_list, distance=distance,
-                transform=config.transform,
-                pooled_reference=pooled_refs[keep_partial],
-            )
+            analyses = scored = treated_list
+        distortions = statistical_distortion_batch(
+            reference, scored, distance=distance,
+            transform=scoring_transform,
+            pooled_reference=pooled_refs[keep_partial],
+        )
         # Derived statistics a panel computed lazily (replacement means,
         # say) are pure — promote them so later panels reuse instead of
         # recompute.
@@ -389,9 +393,11 @@ def evaluate_pair_panels(
             if name in context.__dict__ and name not in template.__dict__:
                 template.__dict__[name] = context.__dict__[name]
         outcomes = []
-        for strategy, treated, distortion in zip(panel, treated_list, distortions):
+        for strategy, treated, analysis, distortion in zip(
+            panel, treated_list, analyses, distortions
+        ):
             if use_block:
-                treated_glitches = suite.annotate_block(treated)
+                treated_glitches = suite.annotate_block(analysis)
                 g_treated = per_100 * float(
                     series_glitch_scores_block(treated_glitches, weights).sum()
                 )

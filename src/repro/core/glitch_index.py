@@ -96,8 +96,8 @@ def series_glitch_scores_block(
 
     Bitwise-identical to :func:`series_glitch_scores` over the equivalent
     :class:`~repro.glitches.types.DatasetGlitches` — the time-axis bit counts
-    are one batched integer reduction and the float tail replays the
-    per-series arithmetic.
+    are exact integers and the float tail is the per-series expression
+    batched over the series (:meth:`~repro.glitches.types.BlockGlitches.series_scores`).
     """
     weights = weights or GlitchWeights()
     return glitches.series_scores(weights.as_array())

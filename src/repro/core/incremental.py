@@ -29,7 +29,7 @@ carry a valid-row mask and the true lengths (:class:`RowChunk`); each
 detector flags a whole chunk in one elementwise pass, and a series' rate is
 its count of valid flagged rows (:func:`count_rows`) over its length; the
 missing and inconsistent rates count row flags directly
-(``isnan(values).any(-1)`` and
+(:func:`~repro.utils.rows.nan_rows` and
 :meth:`~repro.glitches.constraints.ConstraintSet.row_violations`). The
 batch passes (:func:`cleanliness_fractions`, :func:`outlier_fractions`,
 :func:`ideal_column`) consume chunks from either source: the block path
@@ -78,6 +78,7 @@ from repro.sampling.replication import (
     replication_index_streams,
 )
 from repro.stats.descriptive import sigma_limits
+from repro.utils.rows import nan_rows, rows_any
 from repro.utils.validation import check_fraction
 
 __all__ = [
@@ -134,7 +135,7 @@ def count_rows(cells: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndar
     it; the cleanliness rates reduce to row flags without a cell tensor
     (:func:`_cleanliness_counts`), counting the same integers.
     """
-    return _count_flagged(cells.any(axis=-1), valid)
+    return _count_flagged(rows_any(cells), valid)
 
 
 def _cleanliness_counts(
@@ -153,7 +154,7 @@ def _cleanliness_counts(
     passes all count through here.
     """
     return (
-        _count_flagged(np.isnan(values).any(axis=-1), valid),
+        _count_flagged(nan_rows(values), valid),
         _count_flagged(constraints.row_violations(values, attributes), valid),
     )
 
@@ -731,7 +732,7 @@ class CleanlinessFold:
     Neither depends on a fitted detector, so the fold runs from the first
     arrival; outlier rows are :class:`GlitchFold`'s, once a suite froze.
     The window's rows go through the batch passes' row-verdict kernel
-    (:func:`_cleanliness_counts`: ``isnan(values).any(-1)`` and
+    (:func:`_cleanliness_counts`: :func:`~repro.utils.rows.nan_rows` and
     :meth:`~repro.glitches.constraints.ConstraintSet.row_violations`) with
     every row real, so a fold builds no per-window series and no cell
     mask. The fractions read back as ``count / n_records``, which is

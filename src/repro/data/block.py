@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.data.topology import NodeId
 from repro.errors import DataShapeError, ValidationError
+from repro.utils.rows import complete_rows, rows_all
 
 __all__ = ["CHUNK_SERIES", "SampleBlock"]
 
@@ -196,9 +197,9 @@ class SampleBlock:
             raise ValidationError(f"dropna must be none/any/all, got {dropna!r}")
         stacked = self.values.reshape(-1, self.n_attributes)
         if dropna == "any":
-            return stacked[~np.isnan(stacked).any(axis=1)]
+            return complete_rows(stacked)
         if dropna == "all":
-            return stacked[~np.isnan(stacked).all(axis=1)]
+            return stacked[~rows_all(np.isnan(stacked))]
         return stacked
 
     # -- pickling (``__slots__`` has no instance dict) ---------------------------

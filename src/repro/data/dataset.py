@@ -16,6 +16,7 @@ import numpy as np
 from repro.data.block import SampleBlock
 from repro.data.stream import TimeSeries
 from repro.errors import DataShapeError, ValidationError
+from repro.utils.rows import complete_rows, rows_all
 
 __all__ = ["StreamDataset"]
 
@@ -93,9 +94,9 @@ class StreamDataset:
             raise ValidationError(f"dropna must be none/any/all, got {dropna!r}")
         stacked = np.concatenate([s.values for s in self._series], axis=0)
         if dropna == "any":
-            return stacked[~np.isnan(stacked).any(axis=1)]
+            return complete_rows(stacked)
         if dropna == "all":
-            return stacked[~np.isnan(stacked).all(axis=1)]
+            return stacked[~rows_all(np.isnan(stacked))]
         return stacked
 
     def pooled_column(self, attribute: str, dropna: bool = True) -> np.ndarray:

@@ -13,18 +13,25 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import DistanceError
+from repro.utils.rows import complete_rows
 
 __all__ = ["Distance", "clean_sample", "clean_panel"]
 
 
 def clean_sample(values: np.ndarray, name: str) -> np.ndarray:
-    """Coerce a sample to a complete-case ``(N, d)`` float array."""
+    """Coerce a sample to a complete-case ``(N, d)`` float array.
+
+    A row-major sample with no NaN-bearing row is returned as given (no
+    copy); the pooled rows the framework scores are already complete.
+    Other layouts are copied row-major first, so reductions over the rows
+    sum in the same order whatever layout the caller passes.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise DistanceError(f"{name} must be (N, d) or (N,), got shape {arr.shape}")
-    arr = arr[~np.isnan(arr).any(axis=1)]
+    arr = complete_rows(np.ascontiguousarray(arr))
     if arr.shape[0] == 0:
         raise DistanceError(f"{name} has no complete rows")
     return arr

@@ -78,6 +78,15 @@ class SparseHistogram:
         return int(self.centers.shape[1])
 
 
+#: Grids of at most this many cells count their keys with ``np.bincount``
+#: (one dense pass, 8 bytes per cell); larger grids sort with ``np.unique``,
+#: so a fine grid never allocates a dense count array.
+_BINCOUNT_MAX_CELLS = 1 << 20
+
+#: Flat keys are int64; a grid this large would overflow them.
+_MAX_CELLS = 1 << 62
+
+
 @dataclass(frozen=True, eq=False)
 class HistogramGrid:
     """A frozen shared binning grid: standardisation frame plus bin edges.
@@ -86,7 +95,9 @@ class HistogramGrid:
     (the reference frame and the support-covering edges); once frozen, bin
     assignment is a pure per-row function, so every sample of one panel is
     binned on the same flat key space and the distances can align bins by
-    key.
+    key. Edges must be finite and non-decreasing (equal neighbours are
+    allowed: ``np.linspace`` over a span of a few ulp makes them), and the
+    grid must have fewer than 2^62 cells so every flat key fits an int64.
     """
 
     shift: np.ndarray
@@ -100,9 +111,19 @@ class HistogramGrid:
                 f"frame shapes {self.shift.shape}/{self.scale.shape} do not "
                 f"match {d} edge arrays"
             )
+        cells = 1
         for e in self.edges:
             if e.ndim != 1 or e.size < 2:
                 raise DistanceError("each edge array needs at least two edges")
+            if not np.isfinite(e).all():
+                raise DistanceError("bin edges must be finite")
+            if (e[1:] < e[:-1]).any():
+                raise DistanceError("bin edges must be non-decreasing")
+            cells *= e.size - 1
+        if cells >= _MAX_CELLS:
+            raise DistanceError(
+                f"grid of {cells} cells overflows int64 keys (limit 2^62)"
+            )
 
     @property
     def dim(self) -> int:
@@ -116,23 +137,36 @@ class HistogramGrid:
 
     def standardize(self, rows: np.ndarray) -> np.ndarray:
         """Map raw rows into the grid's standardised coordinates."""
-        return (np.asarray(rows, dtype=float) - self.shift) / self.scale
+        return self._columns(rows, standardized=False).T
 
-    def keys_for(self, rows: np.ndarray, standardized: bool = False) -> np.ndarray:
-        """Flat grid key of every row (out-of-range rows clip to edge bins)."""
+    def _columns(self, rows: np.ndarray, standardized: bool) -> np.ndarray:
+        """The ``(d, N)`` standardised columns of ``(N, d)`` rows (a view
+        when the rows are standardised already)."""
         sample = np.asarray(rows, dtype=float)
         if sample.ndim != 2 or sample.shape[1] != self.dim:
             raise DistanceError(
                 f"rows must be (N, {self.dim}), got shape {sample.shape}"
             )
-        if not standardized:
-            sample = self.standardize(sample)
-        dims = self.dims
-        flat = np.zeros(sample.shape[0], dtype=np.int64)
+        if standardized:
+            return sample.T
+        return _standardized_columns(sample, self.shift, self.scale)
+
+    def _column_keys(self, columns: np.ndarray) -> np.ndarray:
+        flat = np.zeros(columns.shape[1], dtype=np.int64)
         for j, e in enumerate(self.edges):
-            k = np.searchsorted(e, sample[:, j], side="right") - 1
-            flat = flat * dims[j] + np.clip(k, 0, e.size - 2)
+            k = np.searchsorted(e, columns[j], side="right") - 1
+            flat *= e.size - 1
+            flat += np.clip(k, 0, e.size - 2, out=k)
         return flat
+
+    def keys_for(self, rows: np.ndarray, standardized: bool = False) -> np.ndarray:
+        """Flat grid key of every row, row-major over the dimensions.
+
+        Each dimension's bin is ``clip(searchsorted(e, x, "right") - 1, 0,
+        nb - 1)``: out-of-range rows clip to the edge bins, and NaN lands
+        in the last bin.
+        """
+        return self._column_keys(self._columns(rows, standardized))
 
     def centers_for(self, keys: np.ndarray) -> np.ndarray:
         """``(K, d)`` bin-centre coordinates of the given flat keys."""
@@ -146,17 +180,48 @@ class HistogramGrid:
         return centers
 
     def histogram(self, sample: np.ndarray, standardized: bool = False) -> SparseHistogram:
-        """Histogram of a sample on this grid, with sorted keys."""
-        keys, counts = np.unique(
-            self.keys_for(sample, standardized=standardized), return_counts=True
-        )
+        """Histogram of a sample on this grid, with sorted keys.
+
+        Keys are counted with one ``np.bincount`` over the grid's cells and
+        read back with ``np.flatnonzero``: the sorted occupied keys and
+        their integer counts, exactly what ``np.unique`` returns. Grids
+        over 2^20 cells count with ``np.unique`` instead.
+        """
+        return self._column_histogram(self._columns(sample, standardized))
+
+    def _column_histogram(self, columns: np.ndarray) -> SparseHistogram:
+        keys = self._column_keys(columns)
         if keys.size == 0:
             raise DistanceError("cannot histogram an empty sample")
+        n_cells = int(np.prod(self.dims))
+        if n_cells <= _BINCOUNT_MAX_CELLS:
+            counts = np.bincount(keys, minlength=n_cells)
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+        else:
+            keys, counts = np.unique(keys, return_counts=True)
         return SparseHistogram(
             centers=self.centers_for(keys),
             probs=counts / counts.sum(),
             keys=keys,
         )
+
+
+def _standardized_columns(
+    sample: np.ndarray, shift: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """``(sample - shift) / scale`` transposed: one contiguous ``(d, N)``
+    row per column.
+
+    The same two operations per cell as the row-wise broadcast, so bitwise
+    its columns; broadcasting a ``(d,)`` frame over ``(N, d)`` rows runs
+    numpy's inner loop ``d`` cells at a time, several times slower.
+    """
+    columns = np.empty(sample.shape[::-1])
+    for j, col in enumerate(columns):
+        np.subtract(sample[:, j], shift[j], out=col)
+        col /= scale[j]
+    return columns
 
 
 #: Bounded memo of reference standardisation frames, keyed by sample content.
@@ -263,15 +328,12 @@ class HistogramBinner:
                     f"and {q.shape}"
                 )
         shift, scale = self._reference_frame(p)
-        ps = (p - shift) / scale
-        qss = [(q - shift) / scale for q in qs]
+        samples = [_standardized_columns(x, shift, scale) for x in (p, *qs)]
         grid = HistogramGrid(
-            shift=shift,
-            scale=scale,
-            edges=tuple(self._edges(np.concatenate([ps, *qss], axis=0))),
+            shift=shift, scale=scale, edges=tuple(self._edges(samples))
         )
-        hp = grid.histogram(ps, standardized=True)
-        return hp, [grid.histogram(q, standardized=True) for q in qss]
+        hp, *hqs = [grid._column_histogram(columns) for columns in samples]
+        return hp, hqs
 
     def reference_frame(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension ``(shift, scale)`` of the standardisation frame.
@@ -313,16 +375,25 @@ class HistogramBinner:
             return np.array([lo - 0.5, hi + 0.5])
         return np.linspace(lo, hi, self.n_bins + 1)
 
-    def _edges(self, pooled: np.ndarray) -> list[np.ndarray]:
+    def _edges(self, samples: "list[np.ndarray]") -> list[np.ndarray]:
+        """Per-dimension edges covering the union of *samples*, each given
+        as its ``(d, N)`` standardised columns.
+
+        The range is the min and max of the per-sample column extremes,
+        which equal the pooled column's (neither depends on order), so
+        uniform binning never concatenates the panel; quantile binning
+        pools the columns it takes quantiles of.
+        """
         edges = []
-        for j in range(pooled.shape[1]):
-            col = pooled[:, j]
-            lo, hi = float(col.min()), float(col.max())
+        for j in range(len(samples[0])):
+            cols = [columns[j] for columns in samples if columns[j].size]
+            lo = min(col.min() for col in cols)
+            hi = max(col.max() for col in cols)
             if lo == hi or self.binning == "uniform":
-                e = self._uniform_edges(lo, hi)
+                e = self._uniform_edges(float(lo), float(hi))
             else:
                 qs = np.linspace(0.0, 1.0, self.n_bins + 1)
-                e = np.unique(np.quantile(col, qs))
+                e = np.unique(np.quantile(np.concatenate(cols), qs))
                 if e.size < 2:
                     e = np.array([lo - 0.5, hi + 0.5])
             edges.append(e)

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.data.stream import TimeSeries
 from repro.errors import ConstraintError
+from repro.utils.rows import rows_any
 
 __all__ = [
     "Constraint",
@@ -56,7 +57,8 @@ class Constraint(ABC):
 
     :meth:`row_violations` is the record-level verdict the cleanliness
     rates count: a ``(..., T)`` flag per record, True when any cell of it
-    violates the rule. It defaults to ``evaluate_values(...).any(-1)``;
+    violates the rule. It defaults to the record flags of
+    ``evaluate_values(...)`` (:func:`~repro.utils.rows.rows_any`);
     the built-ins compute the flag straight from their columns and write
     that same flag into their attributed column for :meth:`evaluate_values`,
     so each rule has one implementation.
@@ -88,7 +90,7 @@ class Constraint(ABC):
     ) -> np.ndarray:
         """``(..., T)`` record flags of a ``(..., T, v)`` value array: True
         where any cell of the record violates the rule."""
-        return self.evaluate_values(values, attributes).any(axis=-1)
+        return rows_any(self.evaluate_values(values, attributes))
 
     @abstractmethod
     def describe(self) -> str:

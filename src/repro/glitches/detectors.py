@@ -19,7 +19,7 @@ Two protocol details from the paper are encoded here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> cleaning -> 
 __all__ = [
     "ScaleTransform",
     "DetectorSuite",
+    "AnalysisBlock",
     "CleanlinessPartition",
     "partition_by_cleanliness",
     "identify_ideal",
@@ -113,6 +114,20 @@ class ScaleTransform:
         return out
 
 
+@dataclass(frozen=True)
+class AnalysisBlock:
+    """A sample block with its values on a detector suite's analysis scale.
+
+    Made by :meth:`DetectorSuite.analysis_block`, so ``scaled`` is always
+    ``transform`` applied to ``raw``; :meth:`DetectorSuite.annotate_block`
+    accepts it only from a suite with that same transform.
+    """
+
+    raw: "SampleBlock"
+    scaled: "SampleBlock"
+    transform: Optional[ScaleTransform]
+
+
 class DetectorSuite:
     """Composite detector producing the full glitch bit matrix per series.
 
@@ -177,7 +192,27 @@ class DetectorSuite:
         """Glitch annotations for every series, in data-set order."""
         return DatasetGlitches(self.annotate(s) for s in dataset)
 
-    def annotate_block(self, block: "SampleBlock") -> BlockGlitches:
+    def analysis_block(self, block: "SampleBlock") -> "AnalysisBlock":
+        """*block* with its values on this suite's analysis scale.
+
+        One whole-tensor transform (the block itself when the suite has no
+        transform). :meth:`annotate_block` takes the result and flags
+        outliers on its scaled tensor, so a caller that also scores the
+        scaled values (the experiment framework's distortion) transforms
+        each block once.
+        """
+        scaled = (
+            block.with_values(
+                self.transform.forward_values(block.values, block.attributes)
+            )
+            if self.transform
+            else block
+        )
+        return AnalysisBlock(raw=block, scaled=scaled, transform=self.transform)
+
+    def annotate_block(
+        self, block: "Union[SampleBlock, AnalysisBlock]"
+    ) -> BlockGlitches:
         """Glitch bit tensor ``(n, T, v, m)`` of a whole sample block.
 
         The columnar analogue of :meth:`annotate_dataset`: missing,
@@ -185,9 +220,21 @@ class DetectorSuite:
         boolean reduction instead of ``n`` per-series passes. Every bit is
         identical to the per-series path (the detectors are elementwise); an
         outlier detector without an array-level ``detect_values`` falls back
-        to series views.
+        to series views. An :class:`AnalysisBlock` from
+        :meth:`analysis_block` is flagged on its scaled tensor instead of
+        transforming the raw one again; one made by a suite with another
+        transform is refused.
         """
-        return BlockGlitches(self.cell_bits(block.values, block.attributes))
+        if isinstance(block, AnalysisBlock):
+            if block.transform != self.transform:
+                raise ValidationError(
+                    "analysis block was scaled by another transform than "
+                    "this suite's"
+                )
+            raw, scaled = block.raw, block.scaled.values
+        else:
+            raw, scaled = block, None
+        return BlockGlitches(self._cell_bits(raw.values, raw.attributes, scaled))
 
     def cell_bits(
         self, values: np.ndarray, attributes: tuple[str, ...]
@@ -198,14 +245,26 @@ class DetectorSuite:
         and outlier planes each come from one elementwise pass, so every
         bit equals the per-series :meth:`annotate` bit of the same cell.
         """
+        return self._cell_bits(values, attributes, None)
+
+    def _cell_bits(
+        self,
+        values: np.ndarray,
+        attributes: tuple[str, ...],
+        scaled: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`cell_bits`, with the analysis-scale tensor when the caller
+        holds it already."""
         bits = np.zeros(values.shape + (N_GLITCH_TYPES,), dtype=bool)
         bits[..., int(GlitchType.MISSING)] = np.isnan(values)
         bits[..., int(GlitchType.INCONSISTENT)] = self.constraints.evaluate_values(
             values, attributes
         )
         if self.outlier_detector is not None:
-            bits[..., int(GlitchType.OUTLIER)] = self.outlier_cells(
-                values, attributes
+            bits[..., int(GlitchType.OUTLIER)] = (
+                self.outlier_cells(values, attributes)
+                if scaled is None
+                else self._flag_outliers(scaled, attributes)
             )
         return bits
 
@@ -224,6 +283,11 @@ class DetectorSuite:
             if self.transform
             else values
         )
+        return self._flag_outliers(scaled, attributes)
+
+    def _flag_outliers(
+        self, scaled: np.ndarray, attributes: tuple[str, ...]
+    ) -> np.ndarray:
         detect_values = getattr(self.outlier_detector, "detect_values", None)
         if detect_values is not None:
             return detect_values(scaled, attributes)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.data.stream import TimeSeries
 from repro.errors import DataShapeError, ValidationError
+from repro.utils.rows import rows_any
 
 __all__ = [
     "GlitchType",
@@ -89,7 +90,7 @@ class GlitchMatrix:
 
     def record_any(self, glitch: GlitchType) -> np.ndarray:
         """``(T,)`` mask: glitch type present on *any* attribute at time t."""
-        return self.bits[:, :, int(glitch)].any(axis=1)
+        return rows_any(self.bits[:, :, int(glitch)])
 
     def cell_any(self) -> np.ndarray:
         """``(T, v)`` mask: any glitch type present in the cell."""
@@ -232,44 +233,31 @@ class BlockGlitches:
 
         ``weights_vector`` is the ``(m,)`` array from
         :meth:`~repro.core.glitch_index.GlitchWeights.as_array`. The time-axis
-        bit counts are one batched integer reduction; the tiny per-series
-        float tail (``(v, m) / T @ w``) replays the per-series expression
-        shape-for-shape so the scores match :func:`series_glitch_scores` bit
-        for bit.
+        bit counts are exact integers, summed along a time-contiguous copy
+        of the bits: summing the time axis in place would step ``v * m``
+        counters per record. The float tail is one batched
+        ``(n, v, m) / T @ w`` summed over the attributes: each series' row
+        of it is the per-series ``(v, m) / T @ w`` summed, so the scores
+        match :func:`series_glitch_scores` bit for bit.
         """
-        n, length = self.n_series, self.length
-        scores = np.zeros(n)
+        n, length, v, m = self.bits.shape
         if length == 0:
-            return scores
-        counts = self.bits.sum(axis=1)  # (n, v, m) exact integer counts
-        normalised = counts / length  # elementwise, equals each per-series divide
-        for i in range(n):
-            scores[i] = float((normalised[i] @ weights_vector).sum())
-        return scores
+            return np.zeros(n)
+        by_time = self.bits.reshape(n, length, v * m).transpose(0, 2, 1)
+        counts = np.ascontiguousarray(by_time).sum(axis=-1)
+        return (counts.reshape(n, v, m) / length @ weights_vector).sum(axis=1)
 
     def record_fraction(self, glitch: GlitchType) -> float:
         """Record-level glitch rate pooled over all series."""
         total = self.n_series * self.length
         if total == 0:
             return 0.0
-        hits = int(self.bits[:, :, :, int(glitch)].any(axis=2).sum())
-        return hits / total
+        hits = np.count_nonzero(rows_any(self.bits[..., int(glitch)]))
+        return int(hits) / total
 
     def record_fractions(self) -> dict[GlitchType, float]:
-        """Record-level rate of each glitch type (the Table 1 columns).
-
-        One pass: the attribute planes are ORed once into an ``(n, T, m)``
-        record tensor, and each type's count is read off it. The counts
-        are exact integers, so every rate equals :meth:`record_fraction`.
-        """
-        total = self.n_series * self.length
-        if total == 0:
-            return {g: 0.0 for g in GlitchType}
-        records = np.zeros(self.bits.shape[:2] + self.bits.shape[3:], dtype=bool)
-        for j in range(self.bits.shape[2]):
-            records |= self.bits[:, :, j]
-        hits = np.count_nonzero(records.reshape(total, -1), axis=0)
-        return {g: int(hits[g]) / total for g in GlitchType}
+        """Record-level rate of each glitch type (the Table 1 columns)."""
+        return {g: self.record_fraction(g) for g in GlitchType}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         fracs = ", ".join(

@@ -27,6 +27,7 @@ from repro.core.glitch_index import (
     series_glitch_scores_block,
 )
 from repro.data.dataset import StreamDataset
+from repro.errors import ValidationError
 from repro.glitches.detectors import DetectorSuite, ScaleTransform
 from repro.sampling import replication
 from repro.sampling.replication import generate_test_pairs
@@ -154,6 +155,34 @@ class TestAnnotationEquivalence:
         for i, matrix in enumerate(per_series):
             np.testing.assert_array_equal(matrix.bits, block.bits[i])
         assert per_series.record_fractions() == block.record_fractions()
+
+    def test_analysis_block_annotates_bitwise_alike(self, block_pair):
+        # The framework scales each block once and flags outliers on the
+        # scaled tensor; the bits must equal annotating the raw block.
+        for transform in (ScaleTransform.log_attr1(), None):
+            suite = DetectorSuite.from_ideal(block_pair.ideal, transform=transform)
+            analysis = suite.analysis_block(block_pair.dirty_block)
+            assert analysis.raw is block_pair.dirty_block
+            expected = np.asarray(block_pair.dirty_block.values, dtype=float)
+            if transform is not None:
+                expected = transform.forward_values(
+                    expected, block_pair.dirty_block.attributes
+                )
+            np.testing.assert_array_equal(analysis.scaled.values, expected)
+            np.testing.assert_array_equal(
+                suite.annotate_block(analysis).bits,
+                suite.annotate_block(block_pair.dirty_block).bits,
+            )
+
+    def test_analysis_block_of_another_scale_is_refused(self, block_pair):
+        logged = DetectorSuite.from_ideal(
+            block_pair.ideal, transform=ScaleTransform.log_attr1()
+        )
+        raw = DetectorSuite.from_ideal(block_pair.ideal)
+        with pytest.raises(ValidationError, match="another transform"):
+            raw.annotate_block(logged.analysis_block(block_pair.dirty_block))
+        with pytest.raises(ValidationError, match="another transform"):
+            logged.annotate_block(raw.analysis_block(block_pair.dirty_block))
 
     def test_block_scores_match_series_scores(self, block_pair):
         suite = DetectorSuite.from_ideal(block_pair.ideal)

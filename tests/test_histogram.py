@@ -224,6 +224,44 @@ class TestHistogramGrid:
         with pytest.raises(DistanceError):
             HistogramGrid(shift=np.zeros(1), scale=np.ones(1), edges=(np.array([0.0]),))
 
+    def test_decreasing_edges_rejected(self):
+        # Unordered edges used to bin both 0.5 and 1.5 to key 1.
+        with pytest.raises(DistanceError, match="non-decreasing"):
+            HistogramGrid(
+                shift=np.zeros(1), scale=np.ones(1), edges=(np.array([1.0, 0.0, 2.0]),)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_edge_rejected(self, bad):
+        with pytest.raises(DistanceError, match="finite"):
+            HistogramGrid(
+                shift=np.zeros(1), scale=np.ones(1), edges=(np.array([0.0, bad, 2.0]),)
+            )
+
+    def test_grid_overflowing_int64_keys_rejected(self):
+        # 17 attributes x 16 bins is 2^68 cells: the flat keys used to wrap
+        # round to negative numbers without an error.
+        edges = tuple(np.linspace(-1.0, 1.0, 17) for _ in range(17))
+        with pytest.raises(DistanceError, match="2\\^62"):
+            HistogramGrid(shift=np.zeros(17), scale=np.ones(17), edges=edges)
+
+    def test_cell_limit_is_two_to_the_62(self):
+        two_bins = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(DistanceError):
+            HistogramGrid(np.zeros(62), np.ones(62), (two_bins,) * 62)
+        grid = HistogramGrid(np.zeros(61), np.ones(61), (two_bins,) * 61)
+        keys = grid.keys_for(np.full((3, 61), 1.5), standardized=True)
+        assert keys.tolist() == [2**61 - 1] * 3
+
+    def test_equal_neighbouring_edges_stay_legal(self):
+        lo = 1.0
+        edges = np.linspace(lo, np.nextafter(np.nextafter(lo, 2.0), 2.0), 9)
+        assert (np.diff(edges) == 0).any()
+        grid = HistogramGrid(shift=np.zeros(1), scale=np.ones(1), edges=(edges,))
+        rows = edges[:, None]
+        expected = np.clip(np.searchsorted(edges, edges, side="right") - 1, 0, 7)
+        assert np.array_equal(grid.keys_for(rows, standardized=True), expected)
+
     def test_rows_of_wrong_width_rejected(self):
         with pytest.raises(DistanceError):
             _grid(2).keys_for(np.zeros((4, 3)))
