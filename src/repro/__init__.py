@@ -67,7 +67,6 @@ from repro.core import (
     knee_point,
     pareto_front,
     resolve_backend,
-    run_streaming_experiment,
     statistical_distortion,
     statistical_distortion_batch,
     streaming_enabled,

@@ -43,7 +43,6 @@ from repro.core.pipeline import (
 from repro.core.streaming import (
     StreamingExperiment,
     StreamingResult,
-    run_streaming_experiment,
     streaming_enabled,
 )
 from repro.core.tradeoff import (
@@ -66,7 +65,6 @@ __all__ = [
     "ExperimentResult",
     "StreamingExperiment",
     "StreamingResult",
-    "run_streaming_experiment",
     "streaming_enabled",
     "ExecutionBackend",
     "SerialBackend",

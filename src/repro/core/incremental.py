@@ -52,11 +52,9 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.cleaning.base import CleaningStrategy
 from repro.data.block import CHUNK_SERIES
 from repro.data.stream import TimeSeries
 from repro.data.window import StreamWindow, cut_series_windows
-from repro.distance.base import Distance
 from repro.errors import ValidationError
 from repro.glitches.constraints import ConstraintSet
 from repro.glitches.detectors import (
@@ -66,19 +64,16 @@ from repro.glitches.detectors import (
     SigmaOutlierDetector,
 )
 from repro.glitches.types import N_GLITCH_TYPES, GlitchType
-from repro.core.framework import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_pair_panels_stream,
-)
+from repro.core.framework import ExperimentConfig
 from repro.core.glitch_index import GlitchWeights
 from repro.sampling.replication import (
     ParentGather,
+    TestPair,
     iter_test_pairs,
     replication_index_streams,
 )
 from repro.stats.descriptive import sigma_limits
-from repro.utils.rows import nan_rows, rows_any
+from repro.utils.rows import nan_rows, rows_any, time_counts
 from repro.utils.validation import check_fraction
 
 __all__ = [
@@ -102,7 +97,7 @@ __all__ = [
     "identify_series",
     "fit_sigma_limits",
     "iter_test_pairs",
-    "run_replications",
+    "replication_pairs",
 ]
 
 
@@ -181,13 +176,14 @@ def _glitch_counts(
 
     The cell counts are the ``(..., v, m)`` bits of
     :meth:`~repro.glitches.detectors.DetectorSuite.cell_bits` summed over
-    the real rows; the outlier-row counts are :func:`count_rows` of the
-    outlier plane. Both are exact integers.
+    the real rows (:func:`~repro.utils.rows.time_counts`); the outlier-row
+    counts are :func:`count_rows` of the outlier plane. Both are exact
+    integers.
     """
     bits = suite.cell_bits(values, attributes)
     if valid is not None:
         bits &= valid[..., None, None]
-    return bits.sum(axis=-3), count_rows(bits[..., int(GlitchType.OUTLIER)])
+    return time_counts(bits), count_rows(bits[..., int(GlitchType.OUTLIER)])
 
 
 @dataclass(frozen=True)
@@ -507,34 +503,29 @@ def identify_series(
 # ---------------------------------------------------------------------------
 
 
-def run_replications(
+def replication_pairs(
     dirty_idx: Sequence[int],
     ideal_idx: Sequence[int],
     lengths: np.ndarray,
     gather: Callable[[frozenset], Dict[int, TimeSeries]],
-    strategies: Sequence[CleaningStrategy],
     config: ExperimentConfig,
-    distance: Optional[Distance] = None,
-    weights: Optional[GlitchWeights] = None,
-    constraints: Optional[ConstraintSet] = None,
-    backend: Optional[object] = None,
-) -> tuple[ExperimentResult, int]:
-    """Draw, gather and evaluate the replications of a verdict split.
+) -> tuple[Iterator[TestPair], int]:
+    """Draw and gather the replications of a verdict split.
 
-    The replication loop of the engines that hold the population's
-    verdicts and series lengths rather than its series. It draws
-    the in-memory path's exact per-replication index streams
+    The pair source of the engines that hold the population's verdicts and
+    series lengths rather than its series. It draws the in-memory path's
+    exact per-replication index streams
     (:func:`~repro.sampling.replication.replication_index_streams`), hands
     the set of touched population indices to *gather* (which returns
-    ``population index -> series`` for at least those), stands each side's
-    parent up as a :class:`ParentGather` whose layout follows the whole
-    side's *lengths*, and evaluates the pairs of
+    ``population index -> series`` for at least those), and stands each
+    side's parent up as a :class:`ParentGather` whose layout follows the
+    whole side's *lengths*. Returns the lazy pairs of
     :func:`~repro.sampling.replication.iter_test_pairs` (the per-draw loop
-    the block path shares) through
-    :func:`~repro.core.framework.run_pair_panels_stream`. The
-    outcomes are therefore bitwise-identical to
+    the block path shares) and the number of gathered series; evaluated by
+    :func:`~repro.core.framework.run_pair_panels_stream`, the pairs give
+    outcomes bitwise-identical to
     :class:`~repro.core.framework.ExperimentRunner` on the materialised
-    population. Returns the result and the number of gathered series.
+    population.
     """
     draws = list(
         replication_index_streams(
@@ -558,16 +549,8 @@ def run_replications(
             lengths[list(idx)],
         )
 
-    result = run_pair_panels_stream(
-        iter_test_pairs(draws, parent(dirty_idx), parent(ideal_idx)),
-        [strategies],
-        config=config,
-        distances=[distance],
-        weights=weights,
-        constraints=constraints,
-        backend=backend,
-    )[0]
-    return result, len(entries)
+    pairs = iter_test_pairs(draws, parent(dirty_idx), parent(ideal_idx))
+    return pairs, len(entries)
 
 
 # ---------------------------------------------------------------------------

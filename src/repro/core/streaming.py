@@ -17,8 +17,8 @@ plus O(what the replications actually touch), never O(population):
   then gathers only the union of touched series — at most ``2 x R x B``
   distinct of them, independent of the population size — into a
   :class:`~repro.sampling.replication.ParentGather`
-  (:func:`~repro.core.incremental.run_replications`, the loop the push
-  service shares).
+  (:func:`~repro.core.incremental.replication_pairs`, the pair source the
+  push service shares).
 
 The engine is contractually **bitwise-identical** to the in-memory path:
 every per-series random stream is pre-spawned by index (the PR 2 contract),
@@ -40,7 +40,11 @@ import numpy as np
 
 from repro.cleaning.base import CleaningStrategy
 from repro.core.executor import resolve_backend
-from repro.core.framework import ExperimentConfig, ExperimentResult
+from repro.core.framework import (
+    ExperimentConfig,
+    ExperimentResult,
+    run_pair_panels_stream,
+)
 from repro.core.glitch_index import GlitchWeights
 from repro.data.generator import GeneratorConfig
 from repro.data.glitch_injection import GlitchInjectionConfig
@@ -55,12 +59,13 @@ from repro.core.incremental import (
     identify_fixed_point,
     ideal_column,
     outlier_fractions,
-    run_replications,
+    replication_pairs,
     segment_chunks,
     split_verdicts,
 )
 from repro.glitches.constraints import ConstraintSet, paper_constraints
 from repro.glitches.detectors import DetectorSuite, ScaleTransform, SigmaLimits
+from repro.sampling.replication import TestPair
 from repro.testing.faults import inject_fault
 from repro.utils.rng import Seed
 from repro.utils.validation import check_fraction, env_flag
@@ -70,7 +75,6 @@ __all__ = [
     "streaming_enabled",
     "StreamingExperiment",
     "StreamingResult",
-    "run_streaming_experiment",
 ]
 
 #: Environment variable selecting the streaming engine (``1``/``on`` enable).
@@ -191,6 +195,23 @@ def _gather_slab(
 # ---------------------------------------------------------------------------
 
 
+def _int_seeded(config: ExperimentConfig) -> ExperimentConfig:
+    """*config*, if its seed is an int.
+
+    The in-memory path consumes a shared SeedSequence/Generator config seed
+    in lazy spawn order (strategy seeds first, pair draws second); the
+    engine draws pairs eagerly, so only the disjoint int derivation (seed
+    vs seed + 1) replays identically.
+    """
+    if not isinstance(config.seed, int):
+        raise ValidationError(
+            "streaming identity requires an int ExperimentConfig.seed; "
+            "SeedSequence/Generator seeds are consumed order-dependently "
+            "by the in-memory replication loop"
+        )
+    return config
+
+
 @dataclass
 class StreamingResult:
     """Everything one streaming run produced.
@@ -234,7 +255,8 @@ class StreamingExperiment:
         :func:`~repro.glitches.detectors.identify_ideal`).
     backend, n_workers, shard_size:
         Execution backend and shard layout for every streamed pass (and the
-        replication evaluation); a pure wall-clock knob.
+        replication evaluation, whose resolved backend is
+        ``eval_backend``); a pure wall-clock knob.
     spill, spill_dir, disk_budget:
         Whether/where shards spill to disk after the first materialisation;
         with spilling off every pass regenerates from the seed recipes
@@ -267,17 +289,7 @@ class StreamingExperiment:
     ):
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        self.config = config or ExperimentConfig()
-        if not isinstance(self.config.seed, int):
-            # The in-memory path consumes a shared SeedSequence/Generator
-            # config seed in lazy spawn order (strategy seeds first, pair
-            # draws second); the engine draws pairs eagerly, so only the
-            # disjoint int derivation (seed vs seed + 1) replays identically.
-            raise ValidationError(
-                "streaming identity requires an int ExperimentConfig.seed; "
-                "SeedSequence/Generator seeds are consumed order-dependently "
-                "by the in-memory replication loop"
-            )
+        self.config = _int_seeded(config or ExperimentConfig())
         self.constraints = (
             constraints if constraints is not None else paper_constraints()
         )
@@ -309,9 +321,9 @@ class StreamingExperiment:
                     chunksize=eval_backend.chunksize,
                     start_method=eval_backend.start_method,
                 )
-            self._eval_backend = eval_backend
+            self.eval_backend = eval_backend
         else:
-            self._eval_backend = resolve_backend(backend, n_workers=n_workers)
+            self.eval_backend = resolve_backend(backend, n_workers=n_workers)
         self.feed = SlabFeed(
             generator_config,
             injection_config,
@@ -416,6 +428,25 @@ class StreamingExperiment:
 
     # -- the full run -----------------------------------------------------------
 
+    def replication_pairs(
+        self, config: Optional[ExperimentConfig] = None
+    ) -> tuple[Iterator[TestPair], int]:
+        """The lazy replication pairs of one config, and the number of
+        series gathered for them.
+
+        Identifies the population (memoised), draws the index streams and
+        gathers just the touched series in one store pass
+        (:func:`~repro.core.incremental.replication_pairs`). *config*
+        overrides the engine's replication config; the population recipe
+        and identification parameters stay fixed, so the sweep planner
+        draws every frame group of a shared-recipe group from one engine.
+        """
+        cfg = self.config if config is None else _int_seeded(config)
+        dirty_idx, ideal_idx = split_verdicts(self.identify()[0])
+        return replication_pairs(
+            dirty_idx, ideal_idx, self.feed.lengths, self._gather, cfg
+        )
+
     def run(
         self,
         strategies: Sequence[CleaningStrategy],
@@ -423,7 +454,6 @@ class StreamingExperiment:
         weights: Optional[GlitchWeights] = None,
         constraints: Optional[ConstraintSet] = None,
         cleanup: bool = True,
-        config: Optional[ExperimentConfig] = None,
     ) -> StreamingResult:
         """Run the whole experiment out of core.
 
@@ -434,40 +464,22 @@ class StreamingExperiment:
         ``None`` defers to the config's ``distance`` selector and then the
         paper's EMD — the same resolution the in-memory runner applies, so
         KL/JS/KS-scored streaming runs stay bitwise-identical to their
-        block-path counterparts.
-
-        *config* overrides the engine's replication config for this call
-        only (the population recipe and identification parameters stay
-        fixed): the sweep planner runs every cell of a shared-recipe group
-        through one engine — same feed, same memoised identification —
-        varying only the replication loop. Pass ``cleanup=False`` between
-        such calls so the spilled shards survive for the next cell.
+        block-path counterparts. Pass ``cleanup=False`` to keep the
+        spilled shards for a later call.
         """
-        cfg = self.config if config is None else config
-        if not isinstance(cfg.seed, int):
-            raise ValidationError(
-                "streaming identity requires an int ExperimentConfig.seed; "
-                "SeedSequence/Generator seeds are consumed order-dependently "
-                "by the in-memory replication loop"
-            )
         try:
-            verdicts, suite = self.identify()
-            dirty_idx, ideal_idx = split_verdicts(verdicts)
-
-            # The index draws need only the two population sizes; one
-            # store pass then gathers just the touched series.
-            result, n_gathered = run_replications(
-                dirty_idx,
-                ideal_idx,
-                self.feed.lengths,
-                self._gather,
-                strategies,
-                config=cfg,
-                distance=distance,
+            pairs, n_gathered = self.replication_pairs()
+            result = run_pair_panels_stream(
+                pairs,
+                [strategies],
+                config=self.config,
+                distances=[distance],
                 weights=weights,
                 constraints=constraints,
-                backend=self._eval_backend,
-            )
+                backend=self.eval_backend,
+            )[0]
+            verdicts, suite = self.identify()
+            dirty_idx, ideal_idx = split_verdicts(verdicts)
             return StreamingResult(
                 result=result,
                 n_series=self.feed.n_series,
@@ -482,27 +494,3 @@ class StreamingExperiment:
         finally:
             if cleanup:
                 self.feed.cleanup()
-
-
-def run_streaming_experiment(
-    scale: str = "small",
-    seed: Seed = 0,
-    config: Optional[ExperimentConfig] = None,
-    strategies: Optional[Sequence[CleaningStrategy]] = None,
-    distance: Optional[Distance] = None,
-    **kwargs,
-) -> StreamingResult:
-    """One-call streaming run of the Figure-6 experiment at a named scale.
-
-    *distance* overrides the config's ``distance`` selector with an explicit
-    instance, exactly like the in-memory :class:`ExperimentRunner`.
-    """
-    from repro.cleaning.registry import paper_strategies
-
-    engine = StreamingExperiment.from_scale(
-        scale, seed=seed, **({"config": config} if config else {}), **kwargs
-    )
-    return engine.run(
-        list(strategies) if strategies else paper_strategies(),
-        distance=distance,
-    )

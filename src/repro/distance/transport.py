@@ -6,8 +6,8 @@ This module solves exactly that problem with three interchangeable backends:
 
 * ``"simplex"`` — our own transportation simplex (northwest-corner start +
   MODI pivoting), dependency-free and exact; the reference implementation.
-* ``"highs"`` — the LP formulation handed to scipy's HiGHS solver; fastest on
-  large bin counts and the default for experiment-scale problems.
+* ``"highs"`` — the LP formulation handed to scipy's HiGHS solver; the
+  ``"auto"`` default of both entry points.
 * ``"networkx"`` — min-cost flow on a scaled integer instance; approximate to
   the scaling resolution, used as an independent cross-check.
 
@@ -90,19 +90,14 @@ def solve_transport(
     cost:
         ``(n, m)`` ground-distance matrix.
     backend:
-        ``"simplex"``, ``"highs"``, ``"networkx"`` or ``"auto"`` (simplex for
-        small instances where its pure-Python pivoting is cheap, HiGHS
-        otherwise). Note :func:`solve_transport_batch` resolves ``"auto"``
-        differently (always HiGHS) — degenerate optima may therefore return
-        a different optimal *plan* (same cost up to round-off) between the
-        single and batched entry points.
+        ``"simplex"``, ``"highs"``, ``"networkx"`` or ``"auto"`` (HiGHS, as
+        in :func:`solve_transport_batch`). The simplex and networkx solvers
+        are the cross-checks the tests hold HiGHS to.
     """
     supply, demand, cost = _validate(supply, demand, cost)
-    if backend == "auto":
-        backend = "simplex" if supply.size * demand.size <= 400 else "highs"
     if backend == "simplex":
         return _solve_simplex(supply, demand, cost)
-    if backend == "highs":
+    if backend in ("auto", "highs"):
         return _solve_highs(supply, demand, cost)
     if backend == "networkx":
         return _solve_networkx(supply, demand, cost)
@@ -123,12 +118,6 @@ def solve_transport_batch(
     solver overhead, which dominates on the small residual problems the
     EMD mass cancellation produces, is paid once per batch instead of once
     per instance. Other backends fall back to a plain loop.
-
-    ``"auto"`` here always means HiGHS — unlike :func:`solve_transport`,
-    which routes small instances to the pure-Python simplex; batching
-    exists precisely to amortise the solver-call overhead that made that
-    small-instance special case worthwhile. Costs agree up to round-off;
-    degenerate optimal *plans* may differ between the two entry points.
     """
     if not instances:
         return []

@@ -15,14 +15,13 @@ Each function maps one paper artifact to library calls:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cleaning.base import CleaningContext, CleaningStrategy
-from repro.cleaning.registry import paper_strategies, strategy_by_name
+from repro.cleaning.registry import strategy_by_name
 from repro.core.cost import PAPER_COST_FRACTIONS, CostSweepResult, cost_sweep
 from repro.core.framework import (
     ExperimentConfig,
@@ -30,7 +29,6 @@ from repro.core.framework import (
     ExperimentRunner,
     strategy_seeds,
 )
-from repro.errors import ExperimentError, ValidationError
 from repro.experiments.config import PopulationBundle, experiment_config
 from repro.glitches.detectors import DetectorSuite
 from repro.glitches.outliers import SigmaOutlierDetector
@@ -52,15 +50,6 @@ __all__ = [
 ]
 
 
-#: ``run_experiment`` keyword arguments that are pure execution choices —
-#: they never change an outcome float, so a catalog hit stays valid under
-#: any combination of them. Anything else (custom configs, identification
-#: parameters) bypasses the catalog rather than risk a wrong key.
-_EXECUTION_ONLY_KWARGS = frozenset(
-    {"shard_size", "spill", "spill_dir", "disk_budget", "n_workers"}
-)
-
-
 def run_experiment(
     scale: str = "small",
     seed: Seed = 0,
@@ -73,17 +62,19 @@ def run_experiment(
 ) -> ExperimentResult:
     """The Figure-6 experiment at a named scale, through either engine.
 
-    The ``REPRO_STREAM`` environment variable / ``config.streaming`` field
-    selects the path: the default materialises the population
-    (:func:`~repro.experiments.config.build_population` +
-    :func:`run_figure6`), while the streaming choice runs the out-of-core
-    slab engine (:class:`~repro.core.streaming.StreamingExperiment`) with
-    peak memory bounded by the shard size instead of the population. The
-    two paths return bitwise-identical outcomes; extra keyword arguments
-    (``shard_size=``, ``spill_dir=``, ``disk_budget=``, ...)
-    reach the streaming engine only. *distance* — an instance, or the
-    config's ``distance`` name selector — is honoured identically by both
-    engines.
+    Runs one recipe cell (``scale`` + ``seed``) through the executor of
+    :func:`~repro.experiments.sweep.run_sweep`, in its one-cell mode: a
+    failure raises instead of being recorded. The ``REPRO_STREAM``
+    environment variable / ``config.streaming`` field selects the engine:
+    the default materialises the population
+    (:func:`~repro.experiments.config.build_population`), while the
+    streaming choice runs the out-of-core slab engine
+    (:class:`~repro.core.streaming.StreamingExperiment`) with peak memory
+    bounded by the shard size instead of the population. The two engines
+    return bitwise-identical outcomes; extra keyword arguments
+    (``shard_size=``, ``spill_dir=``, ``disk_budget=``, ...) reach the
+    streaming engine only. *distance* — an instance, or the config's
+    ``distance`` name selector — is honoured identically by both engines.
 
     *catalog* — a :class:`~repro.store.catalog.Catalog`, a path, or ``None``
     to defer to ``REPRO_CATALOG`` — enables cross-run reuse: a cell whose
@@ -91,98 +82,27 @@ def run_experiment(
     already scored is served back bitwise-identically **without building the
     population at all**, and a computed cell is stored for the next run.
     Because catalog keys cover only outcome-determining inputs, a hit is
-    valid for either engine, any backend and any shard layout. An explicit
-    *distance* instance that equals its registry default (per
+    valid for either engine, any backend and any shard layout; streaming
+    arguments other than the execution-only ones (shard layout, spill,
+    disk budget, workers) bypass the catalog. An explicit *distance*
+    instance that equals its registry default (per
     :func:`~repro.store.catalog.distance_key_name`) is keyed by the registry
     name — the same cell as the equivalent name selector; only genuinely
     customised instances bypass the catalog.
     """
-    from repro.core.streaming import run_streaming_experiment, streaming_enabled
-    from repro.experiments.config import SCALES, build_population, experiment_config
-    from repro.store.catalog import (
-        distance_key_name,
-        experiment_key,
-        population_recipe_key,
-        resolve_catalog,
+    from repro.experiments.sweep import SweepCell, _execute
+
+    cell = SweepCell(
+        name="experiment",
+        config=config or experiment_config(scale),
+        strategies=tuple(strategies or ()),
+        scale=scale,
+        seed=seed,
     )
-
-    config = config or experiment_config(scale)
-    strategy_list = list(strategies) if strategies else paper_strategies()
-    cat, owned = resolve_catalog(catalog)
-    try:
-        key = pop_key = None
-        dist_name = distance_key_name(distance) if distance is not None else None
-        if (
-            cat is not None
-            and (distance is None or dist_name is not None)
-            and set(streaming_kwargs) <= _EXECUTION_ONLY_KWARGS
-        ):
-            from repro.data.glitch_injection import GlitchInjectionConfig
-
-            gen_cfg = SCALES[scale].generator
-            inj_cfg = GlitchInjectionConfig()
-            try:
-                pop_key = population_recipe_key(gen_cfg, inj_cfg, seed)
-                key = experiment_key(
-                    pop_key, config, strategy_list, distance_name=dist_name
-                )
-            except ValidationError:
-                key = pop_key = None  # non-replayable seed: compute as usual
-            if key is not None:
-                cached = cat.get_outcome(key)
-                if cached is not None:
-                    return cached
-        t0 = time.perf_counter()
-        if streaming_enabled(config):
-            engine = "streaming"
-            result = run_streaming_experiment(
-                scale,
-                seed=seed,
-                config=config,
-                strategies=strategy_list,
-                distance=distance,
-                backend=backend,
-                **streaming_kwargs,
-            ).result
-        else:
-            if streaming_kwargs:
-                raise ExperimentError(
-                    f"streaming-only arguments {sorted(streaming_kwargs)} given, "
-                    "but the streaming engine is not selected"
-                )
-            engine = "block"
-            bundle = build_population(scale=scale, seed=seed, backend=backend)
-            result = run_figure6(
-                bundle, config=config, strategies=strategy_list, backend=backend,
-                distance=distance,
-            )
-        if key is not None:
-            gen_cfg = SCALES[scale].generator
-            cat.record_population(
-                pop_key,
-                "recipe",
-                scale=scale,
-                seed=repr(seed),
-                generator=repr(gen_cfg),
-                injection=repr(inj_cfg),
-                n_series=gen_cfg.n_rnc
-                * gen_cfg.towers_per_rnc
-                * gen_cfg.sectors_per_tower,
-            )
-            cat.put_outcome(
-                key,
-                result,
-                population_key=pop_key,
-                config=config,
-                strategies=strategy_list,
-                engine=engine,
-                wall_s=time.perf_counter() - t0,
-                distance_name=dist_name,
-            )
-        return result
-    finally:
-        if owned and cat is not None:
-            cat.close()
+    return _execute(
+        [cell], catalog, backend, distance=distance,
+        engine_kwargs=streaming_kwargs, strict=True,
+    )[cell.name]
 
 
 # ---------------------------------------------------------------------------
@@ -389,67 +309,30 @@ def run_figure6(
     identical results on any choice. ``distance`` (an instance) overrides
     the config's ``distance`` selector, EMD by default.
 
-    *catalog* (a :class:`~repro.store.catalog.Catalog`, a path, or ``None``
-    deferring to ``REPRO_CATALOG``) keys the cell by the bundle's
-    **content** identity (:meth:`PopulationBundle.content_key`) plus the
-    config and strategy panel: a sweep cell already scored against a
-    bitwise-identical bundle is served from the catalog instead of
-    recomputed, and computed cells are stored. An explicit *distance*
-    instance equal to its registry default is keyed by the registry name
-    (:func:`~repro.store.catalog.distance_key_name`); only customised
-    instances bypass the catalog.
+    Runs one bundle cell through the executor of
+    :func:`~repro.experiments.sweep.run_sweep`, in its one-cell mode: a
+    failure raises instead of being recorded. *catalog* (a
+    :class:`~repro.store.catalog.Catalog`, a path, or ``None`` deferring to
+    ``REPRO_CATALOG``) keys the cell by the bundle's **content** identity
+    (:meth:`PopulationBundle.content_key`) plus the config and strategy
+    panel: a cell already scored against a bitwise-identical bundle is
+    served from the catalog instead of recomputed, and computed cells are
+    stored. Without a catalog the bundle is never hashed. An explicit
+    *distance* instance equal to its registry default is keyed by the
+    registry name (:func:`~repro.store.catalog.distance_key_name`); only
+    customised instances bypass the catalog.
     """
-    from repro.store.catalog import (
-        distance_key_name,
-        experiment_key,
-        resolve_catalog,
-    )
+    from repro.experiments.sweep import SweepCell, _execute
 
-    strategy_list = list(strategies) if strategies else paper_strategies()
-    cat, owned = resolve_catalog(catalog)
-    try:
-        key = pop_key = None
-        dist_name = distance_key_name(distance) if distance is not None else None
-        if cat is not None and (distance is None or dist_name is not None):
-            cfg = config or ExperimentConfig()
-            try:
-                pop_key = bundle.content_key()
-                key = experiment_key(
-                    pop_key, cfg, strategy_list, distance_name=dist_name
-                )
-            except ValidationError:
-                key = pop_key = None  # non-replayable config seed
-            if key is not None:
-                cached = cat.get_outcome(key)
-                if cached is not None:
-                    return cached
-        t0 = time.perf_counter()
-        runner = ExperimentRunner(
-            bundle.dirty, bundle.ideal, config=config, backend=backend,
-            distance=distance,
-        )
-        result = runner.run(strategy_list)
-        if key is not None:
-            cat.record_population(
-                pop_key,
-                "content",
-                scale=bundle.scale,
-                n_series=len(bundle.population),
-            )
-            cat.put_outcome(
-                key,
-                result,
-                population_key=pop_key,
-                config=cfg,
-                strategies=strategy_list,
-                engine="block",
-                wall_s=time.perf_counter() - t0,
-                distance_name=dist_name,
-            )
-        return result
-    finally:
-        if owned and cat is not None:
-            cat.close()
+    cell = SweepCell(
+        name="figure6",
+        config=config or ExperimentConfig(),
+        strategies=tuple(strategies or ()),
+        bundle=bundle,
+    )
+    return _execute(
+        [cell], catalog, backend, distance=distance, strict=True
+    )[cell.name]
 
 
 # ---------------------------------------------------------------------------

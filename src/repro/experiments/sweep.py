@@ -16,12 +16,12 @@ invalid:
   ``cost_fraction`` edit invalidates only that cell, a distance swap leaves
   the population rows reusable);
 * **work sharing across the cells that do run** — cells are grouped by
-  shared population recipe (the population is built **once** per group, the
-  streaming engine's identification fixed point is memoised per group) and,
-  within a group, by shared outcome config: such a *frame group* differs
-  only in its strategy panels and is evaluated in one pass over the shared
-  replication pairs by
-  :func:`~repro.core.framework.run_pair_panels_stream`, which hoists the
+  shared population, and each group gets one *pair source*: a bundle built
+  **once** per group, or one streaming engine whose identification fixed
+  point is memoised per group. Within a group, cells that share an outcome
+  config form a *frame group*, which differs only in its strategy panels
+  and is evaluated in one pass over one lazy stream of replication pairs
+  by :func:`~repro.core.framework.run_pair_panels_stream`, which hoists the
   per-pair dirty reference frame (sigma limits, detector suite, dirty
   annotation, pooled distortion reference) once per pair;
 * a first-class :class:`SweepResult` — cells + keys + provenance +
@@ -31,9 +31,13 @@ invalid:
 
 Sharing stops exactly where bitwise identity would break: each panel keeps
 its own per-replication random streams and its own distortion grid (the
-shared-support grid is a function of the panel composition), and cells whose
-config seed is not a plain int fall back to standalone per-cell evaluation
-(non-int seeds are consumed order-dependently by the replication loop).
+shared-support grid is a function of the panel composition), and a cell
+whose config seed is not a plain int is a frame group of its own (such a
+seed hands out new streams at every spawn).
+
+The executor is the only code that serves, computes and records an
+experiment cell: :func:`~repro.experiments.paper.run_experiment` and
+:func:`~repro.experiments.paper.run_figure6` run one-cell sweeps through it.
 
 ``REPRO_SWEEP_INCREMENTAL=0`` disables catalog serving (every cell
 recomputes — the from-scratch reference the benchmarks compare against);
@@ -44,8 +48,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.cleaning.base import CleaningStrategy
 from repro.core.framework import ExperimentConfig, ExperimentResult
@@ -239,16 +243,30 @@ def plan_sweep(cells: Sequence[SweepCell]) -> SweepPlan:
     A bundle's content key hashes every series; the bundle memoises it, so
     each distinct bundle is hashed once, however many cells share it.
     """
+    return _plan(cells)
+
+
+def _plan(
+    cells: Sequence[SweepCell],
+    keyed: bool = True,
+    distance_name: Optional[str] = None,
+) -> SweepPlan:
+    """:func:`plan_sweep`; with *keyed* off every cell is uncacheable and
+    nothing is hashed. *distance_name* keys every cell as if its config
+    selected that distance (the key of an explicit default-parameter
+    instance, :func:`~repro.store.catalog.distance_key_name`)."""
     cells = list(cells)
     names = [c.name for c in cells]
     if len(set(names)) != len(names):
         raise ExperimentError(f"duplicate cell names: {names}")
-    keys: dict[str, Optional[CellKey]] = {}
-    for cell in cells:
+    keys: dict[str, Optional[CellKey]] = dict.fromkeys(names)
+    for cell in cells if keyed else ():
+        if distance_name is not None:
+            cell = replace(cell, config=cell.config.variant(distance=distance_name))
         try:
             keys[cell.name] = cell_key(cell)
         except ValidationError:
-            keys[cell.name] = None
+            pass  # no replayable identity: the cell is uncacheable
     return SweepPlan(cells=cells, keys=keys)
 
 
@@ -464,17 +482,19 @@ class SweepResult:
             source_cells=dict(self.source_cells),
         )
         for c in self.cells:
-            cell = retried[c.name] if c.source == "failed" else c
-            merged.cells.append(cell)
-            if cell.source == "catalog":
-                merged.n_hits += 1
-            elif cell.source == "failed":
-                merged.n_failed += 1
-            else:
-                merged.n_recomputed += 1
-                if cell.source == "uncacheable":
-                    merged.n_uncacheable += 1
+            merged._append(retried[c.name] if c.source == "failed" else c)
         return merged
+
+    def _append(self, cell: CellResult) -> None:
+        """Add one cell, counted by its source."""
+        self.cells.append(cell)
+        if cell.source == "catalog":
+            self.n_hits += 1
+        elif cell.source == "failed":
+            self.n_failed += 1
+        else:
+            self.n_recomputed += 1
+            self.n_uncacheable += cell.source == "uncacheable"
 
     def served(self) -> list[str]:
         """Names of cells served from the catalog."""
@@ -545,6 +565,14 @@ class SweepResult:
 # Execution
 # ---------------------------------------------------------------------------
 
+#: Streaming-engine keyword arguments that are pure execution choices —
+#: they never change an outcome float, so a catalog hit stays valid under
+#: any combination of them. Anything else (identification parameters, say)
+#: leaves the cells unkeyed rather than risk a wrong key.
+_EXECUTION_ONLY_KWARGS = frozenset(
+    {"shard_size", "spill", "spill_dir", "disk_budget", "n_workers"}
+)
+
 
 def _group_ident(cell: SweepCell, key: Optional[CellKey]) -> tuple:
     """The population-sharing identity of one cell.
@@ -569,27 +597,29 @@ def _group_ident(cell: SweepCell, key: Optional[CellKey]) -> tuple:
         return ("cell", cell.name)
 
 
-def _frame_token(cell: SweepCell) -> Optional[str]:
-    """The shared-frame identity of one cell's config, or ``None``.
+def _frame_token(cell: SweepCell) -> object:
+    """The shared-frame identity of one cell's config.
 
-    Cells of one population group whose outcome configs agree (and whose
-    seed is a plain int) are evaluated as one multi-panel pass; execution
-    fields (backend, workers, streaming) are rightly excluded — they never
-    change an outcome float.
+    Cells of one population group whose outcome configs agree are evaluated
+    as one multi-panel pass; execution fields (backend, workers, streaming)
+    are rightly excluded — they never change an outcome float. A non-int
+    config seed hands out new streams at every spawn, so such a cell is a
+    frame group of its own: a single-panel pass over a lazily drawn pair
+    stream.
     """
     import json
 
     from repro.store.catalog import config_token
 
     if not isinstance(cell.config.seed, int):
-        return None
-    try:
-        return json.dumps(config_token(cell.config), sort_keys=True)
-    except ValidationError:  # pragma: no cover - int seeds always tokenise
-        return None
+        return ("cell", cell.name)
+    return json.dumps(config_token(cell.config), sort_keys=True)
 
 
-def _record_cell(cat, cell: SweepCell, key: CellKey, result, engine: str, wall_s: float) -> None:
+def _record_cell(
+    cat, cell: SweepCell, key: CellKey, result, engine: str, wall_s: float,
+    distance_name: Optional[str],
+) -> None:
     """Store one computed cell (population row + outcome payload)."""
     if cell.bundle is not None:
         cat.record_population(
@@ -607,6 +637,7 @@ def _record_cell(cat, cell: SweepCell, key: CellKey, result, engine: str, wall_s
             seed=repr(cell.seed),
             generator=repr(gen_cfg),
             injection=repr(inj_cfg),
+            n_series=gen_cfg.n_sectors,
         )
     cat.put_outcome(
         key.outcome,
@@ -616,6 +647,7 @@ def _record_cell(cat, cell: SweepCell, key: CellKey, result, engine: str, wall_s
         strategies=cell_strategies(cell),
         engine=engine,
         wall_s=wall_s,
+        distance_name=distance_name,
     )
 
 
@@ -634,16 +666,16 @@ def run_sweep(
     2. **Serve** — with incremental on (the default; *incremental* argument,
        then ``REPRO_SWEEP_INCREMENTAL``), each keyed cell is looked up in
        the catalog exactly once and served bitwise-identically on a hit.
-    3. **Batch** — missing cells are grouped by shared population (built at
-       most once per group — ``result.n_builds`` counts), then by shared
-       outcome config into frame groups evaluated in one multi-panel pass
-       over shared replication pairs
-       (:func:`~repro.core.framework.run_pair_panels_stream`). Groups whose
-       cells all select the streaming engine share one
+    3. **Batch** — missing cells are grouped by shared population. Each
+       group gets one pair source: a bundle built at most once
+       (``result.n_builds`` counts), or — when every cell selects the
+       streaming engine — one shared
        :class:`~repro.core.streaming.StreamingExperiment` (one feed, one
-       memoised identification fixed point) and never materialise the
-       population. Cells that cannot share (non-int seeds) fall back to
-       standalone evaluation.
+       memoised identification fixed point, no materialised population).
+       Within a group, cells whose outcome configs agree form a frame
+       group, evaluated as one multi-panel pass over one lazy pair stream
+       (:func:`~repro.core.framework.run_pair_panels_stream`); a cell with
+       a non-int config seed is a frame group of its own.
     4. **Record** — computed cells are stored; when *name* is given the
        plan's manifest is appended to the catalog's ``sweeps`` table for
        the next run's diff.
@@ -653,12 +685,51 @@ def run_sweep(
     :func:`~repro.store.catalog.resolve_catalog` (an instance, a path, or
     ``None`` deferring to ``REPRO_CATALOG``).
     """
-    from repro.store.catalog import resolve_catalog
+    return _execute(cells, catalog, backend, incremental=incremental, name=name)
 
-    plan = plan_sweep(cells)
-    incremental = sweep_incremental_enabled(incremental)
+
+def _execute(
+    cells: Sequence[SweepCell],
+    catalog,
+    backend,
+    incremental: Optional[bool] = None,
+    name: Optional[str] = None,
+    distance=None,
+    engine_kwargs: Optional[Mapping] = None,
+    strict: bool = False,
+) -> SweepResult:
+    """The one executor that serves, computes and records experiment cells.
+
+    *distance* (an explicit instance) scores every cell, and
+    *engine_kwargs* reach every streaming engine the executor builds; a
+    group on the block engine refuses them. A customised *distance* (one
+    :func:`~repro.store.catalog.distance_key_name` cannot name) or an
+    engine argument outside :data:`_EXECUTION_ONLY_KWARGS` leaves every
+    cell unkeyed, so the cells bypass the catalog; a default-parameter
+    instance is keyed by its registry name.
+
+    *strict* is the one-cell mode of
+    :func:`~repro.experiments.paper.run_experiment` and
+    :func:`~repro.experiments.paper.run_figure6`: a failure raises instead
+    of being recorded, the catalog is consulted whatever
+    ``REPRO_SWEEP_INCREMENTAL`` says, and without a catalog nothing is
+    keyed, so no bundle is hashed.
+    """
+    from repro.store.catalog import distance_key_name, resolve_catalog
+
+    engine_kwargs = dict(engine_kwargs or {})
+    distance_name = distance_key_name(distance)
+    cacheable = (distance is None or distance_name is not None) and set(
+        engine_kwargs
+    ) <= _EXECUTION_ONLY_KWARGS
+    incremental = strict or sweep_incremental_enabled(incremental)
     cat, owned = resolve_catalog(catalog)
     try:
+        plan = _plan(
+            cells,
+            keyed=cacheable and (cat is not None or not strict),
+            distance_name=distance_name,
+        )
         diff = None
         if cat is not None and name is not None:
             diff = diff_manifests(cat.last_sweep(name), plan.manifest())
@@ -673,37 +744,31 @@ def run_sweep(
                 if cached is not None:
                     served[cell.name] = cached
 
-        to_compute = [c for c in plan.cells if c.name not in served]
-        computed, errors, n_builds, n_groups = _compute_cells(
-            to_compute, plan.keys, cat, backend
+        executor = _Executor(
+            plan.keys, cat, backend, distance=distance,
+            distance_name=distance_name, engine_kwargs=engine_kwargs,
+            strict=strict,
         )
+        executor.run([c for c in plan.cells if c.name not in served])
 
         result = SweepResult(
             diff=diff,
-            n_builds=n_builds,
-            n_groups=n_groups,
+            n_builds=executor.n_builds,
+            n_groups=executor.n_groups,
             source_cells={c.name: c for c in plan.cells},
         )
         for cell in plan.cells:
             key = plan.keys[cell.name]
             if cell.name in served:
-                result.cells.append(
-                    CellResult(cell.name, key, served[cell.name], "catalog")
-                )
-                result.n_hits += 1
-            elif cell.name in errors:
-                result.cells.append(
-                    CellResult(cell.name, key, None, "failed", errors[cell.name])
-                )
-                result.n_failed += 1
+                cell_result = CellResult(cell.name, key, served[cell.name], "catalog")
+            elif cell.name in executor.errors:
+                error = executor.errors[cell.name]
+                cell_result = CellResult(cell.name, key, None, "failed", error)
             else:
                 source = "computed" if key is not None else "uncacheable"
-                result.cells.append(
-                    CellResult(cell.name, key, computed[cell.name], source)
-                )
-                result.n_recomputed += 1
-                if key is None:
-                    result.n_uncacheable += 1
+                computed = executor.results[cell.name]
+                cell_result = CellResult(cell.name, key, computed, source)
+            result._append(cell_result)
         if cat is not None and name is not None:
             cat.record_sweep(name, plan.manifest())
         return result
@@ -712,223 +777,176 @@ def run_sweep(
             cat.close()
 
 
-def _fail_cells(
-    cells: Sequence[SweepCell], exc: BaseException, errors: dict
-) -> None:
-    """Record a failure for *cells* and keep the sweep going.
+@dataclass
+class _PairSource:
+    """Where one population group's replication pairs come from.
 
-    The provenance string (exception type + message) lands in every
-    affected cell's :class:`CellResult`; a :class:`ResilienceWarning`
-    surfaces the loss immediately. The completed frontier is untouched.
+    ``pairs(config)`` is the group's lazy pair stream for one replication
+    config, ``engine`` the catalog's engine label and ``backend`` the
+    evaluation backend; ``close`` releases what the source holds.
     """
-    message = f"{type(exc).__name__}: {exc}"
-    names = [c.name for c in cells]
-    for name in names:
-        errors[name] = message
-    warnings.warn(
-        f"sweep cell(s) {', '.join(repr(n) for n in names)} failed "
-        f"({message}); recording the failure and continuing with the "
-        "remaining cells",
-        ResilienceWarning,
-        stacklevel=3,
-    )
+
+    pairs: Callable[[ExperimentConfig], Iterable]
+    engine: str
+    backend: object = None
+    close: Callable[[], None] = lambda: None
 
 
-def _compute_cells(
-    cells: Sequence[SweepCell],
-    keys: Mapping[str, Optional[CellKey]],
-    cat,
-    backend,
-) -> tuple[dict[str, ExperimentResult], dict[str, str], int, int]:
-    """Evaluate the invalid frontier, shared-population group by group.
+@dataclass
+class _Executor:
+    """Evaluates the invalid frontier of one sweep, group by group.
 
-    Returns ``({cell name -> result}, {cell name -> error}, n_builds,
-    n_groups)`` where ``n_builds`` counts population materialisations and
-    ``n_groups`` the evaluation batches actually dispatched. A cell appears
-    in exactly one of the two dicts: a failure anywhere in a group's
-    evaluation fails that group's still-unscored cells (with provenance)
-    and never the already-completed frontier.
+    A cell lands in exactly one of ``results`` and ``errors``: a failure
+    anywhere in a group's evaluation fails that group's still-unscored
+    cells (with provenance) and never the completed frontier. ``n_builds``
+    counts population materialisations and ``n_groups`` the multi-panel
+    passes actually dispatched.
     """
-    from repro.core.streaming import streaming_enabled
 
-    groups: dict[tuple, list[SweepCell]] = {}
-    for cell in cells:
-        groups.setdefault(_group_ident(cell, keys.get(cell.name)), []).append(cell)
+    keys: Mapping[str, Optional[CellKey]]
+    cat: object
+    backend: object
+    distance: object = None
+    distance_name: Optional[str] = None
+    engine_kwargs: dict = field(default_factory=dict)
+    strict: bool = False
+    results: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)
+    n_builds: int = 0
+    n_groups: int = 0
 
-    results: dict[str, ExperimentResult] = {}
-    errors: dict[str, str] = {}
-    n_builds = 0
-    n_groups = 0
-    for members in groups.values():
-        bundle = next((c.bundle for c in members if c.bundle is not None), None)
-        if (
-            bundle is None
-            and all(streaming_enabled(c.config) for c in members)
-            and all(isinstance(c.config.seed, int) for c in members)
-        ):
-            n_groups += _run_streaming_group(
-                members, keys, cat, backend, results, errors
-            )
-            continue
-        if bundle is None:
-            from repro.experiments.config import build_population
-
-            head = members[0]
-            gen_cfg, inj_cfg = _recipe_configs(head)
+    def run(self, cells: Sequence[SweepCell]) -> None:
+        """Evaluate *cells*, one shared-population group at a time."""
+        groups: dict[tuple, list[SweepCell]] = {}
+        for cell in cells:
+            ident = _group_ident(cell, self.keys.get(cell.name))
+            groups.setdefault(ident, []).append(cell)
+        for members in groups.values():
             try:
-                bundle = build_population(
-                    scale=head.scale if head.generator_config is None else "small",
-                    seed=head.seed,
-                    generator_config=gen_cfg,
-                    injection_config=inj_cfg,
-                    backend=backend,
-                )
+                source = self._source(members)
             except Exception as exc:
-                _fail_cells(members, exc, errors)
+                self._fail(members, exc)
                 continue
-            n_builds += 1
-        n_groups += _run_bundle_group(
-            members, keys, cat, backend, bundle, results, errors
-        )
-    return results, errors, n_builds, n_groups
+            try:
+                self._run_group(members, source)
+            finally:
+                source.close()
 
+    def _source(self, members: Sequence[SweepCell]) -> _PairSource:
+        """The group's pair source: a shared streaming engine when every
+        cell selects it (with an int config seed), else a bundle — the
+        cells' own, or one built from their recipe."""
+        from repro.core.streaming import StreamingExperiment, streaming_enabled
+        from repro.experiments.config import build_population
+        from repro.sampling.replication import generate_test_pairs
 
-def _run_bundle_group(
-    members: Sequence[SweepCell],
-    keys: Mapping[str, Optional[CellKey]],
-    cat,
-    backend,
-    bundle,
-    results: dict,
-    errors: dict,
-) -> int:
-    """Evaluate one shared-population group on a materialised bundle.
-
-    Cells are sub-grouped by outcome config (:func:`_frame_token`): each
-    frame group runs as one multi-panel pass over shared pairs; cells that
-    cannot share fall back to a standalone runner. A failed pass fails only
-    its own cells (recorded in *errors*). Returns the number of evaluation
-    batches dispatched.
-    """
-    from repro.core.framework import ExperimentRunner, run_pair_panels_stream
-    from repro.sampling.replication import generate_test_pairs
-
-    frames: dict[Optional[str], list[SweepCell]] = {}
-    for cell in members:
-        frames.setdefault(_frame_token(cell), []).append(cell)
-
-    batches = 0
-    for token, group in frames.items():
-        if token is None:
-            # Standalone fallback: non-int seeds must consume their streams
-            # in the exact lazy order of the single-panel loop.
-            for cell in group:
-                t0 = time.perf_counter()
-                try:
-                    runner = ExperimentRunner(
-                        bundle.dirty, bundle.ideal, config=cell.config,
-                        backend=backend,
-                    )
-                    results[cell.name] = runner.run(cell_strategies(cell))
-                except Exception as exc:
-                    _fail_cells([cell], exc, errors)
-                    continue
-                batches += 1
-                _maybe_record(
-                    cat, cell, keys, results[cell.name], "block",
-                    time.perf_counter() - t0,
-                )
-            continue
-        t0 = time.perf_counter()
-        rep = group[0].config
-        try:
-            pairs = list(
-                generate_test_pairs(
-                    bundle.dirty,
-                    bundle.ideal,
-                    n_pairs=rep.n_replications,
-                    sample_size=rep.sample_size,
-                    seed=rep.seed,
-                )
+        head = members[0]
+        if head.bundle is None and all(
+            streaming_enabled(c.config) and isinstance(c.config.seed, int)
+            for c in members
+        ):
+            gen_cfg, inj_cfg = _recipe_configs(head)
+            engine = StreamingExperiment(
+                generator_config=gen_cfg,
+                injection_config=inj_cfg,
+                seed=head.seed,
+                config=head.config,
+                backend=self.backend,
+                **self.engine_kwargs,
             )
-            panel_results = run_pair_panels_stream(
-                pairs,
-                [cell_strategies(cell) for cell in group],
-                config=rep,
-                backend=backend,
-                result_configs=[cell.config for cell in group],
+            return _PairSource(
+                lambda cfg: engine.replication_pairs(cfg)[0],
+                "streaming",
+                engine.eval_backend,
+                engine.feed.cleanup,
             )
-        except Exception as exc:
-            _fail_cells(group, exc, errors)
-            continue
-        batches += 1
-        wall = time.perf_counter() - t0
-        for cell, res in zip(group, panel_results):
-            results[cell.name] = res
-            _maybe_record(cat, cell, keys, res, "block", wall)
-    return batches
+        if self.engine_kwargs:
+            raise ExperimentError(
+                f"streaming-only arguments {sorted(self.engine_kwargs)} given, "
+                "but the streaming engine is not selected"
+            )
+        bundle = head.bundle
+        if bundle is None:
+            gen_cfg, inj_cfg = _recipe_configs(head)
+            bundle = build_population(
+                scale=head.scale if head.generator_config is None else "small",
+                seed=head.seed,
+                generator_config=gen_cfg,
+                injection_config=inj_cfg,
+                backend=self.backend,
+            )
+            self.n_builds += 1
 
+        def pairs(cfg: ExperimentConfig):
+            return generate_test_pairs(
+                bundle.dirty,
+                bundle.ideal,
+                n_pairs=cfg.n_replications,
+                sample_size=cfg.sample_size,
+                seed=cfg.seed,
+            )
 
-def _run_streaming_group(
-    members: Sequence[SweepCell],
-    keys: Mapping[str, Optional[CellKey]],
-    cat,
-    backend,
-    results: dict,
-    errors: dict,
-) -> int:
-    """Evaluate one shared-recipe group through a single streaming engine.
+        return _PairSource(pairs, "block", self.backend)
 
-    The feed (and its spilled shards) and the identification fixed point
-    are shared across every cell; each cell runs its own replication loop
-    with its own config. An engine that cannot be constructed fails the
-    whole group; a failed cell run fails only that cell (recorded in
-    *errors*). Returns the number of engine runs dispatched.
-    """
-    from repro.core.streaming import StreamingExperiment
+    def _run_group(self, members: Sequence[SweepCell], source: _PairSource) -> None:
+        """One multi-panel pass per frame group over the source's pairs.
 
-    head = members[0]
-    try:
-        gen_cfg, inj_cfg = _recipe_configs(head)
-        engine = StreamingExperiment(
-            generator_config=gen_cfg,
-            injection_config=inj_cfg,
-            seed=head.seed,
-            config=head.config,
-            backend=backend,
-        )
-    except Exception as exc:
-        _fail_cells(members, exc, errors)
-        return 0
-    batches = 0
-    try:
+        The pairs are drawn lazily, so the serial backend holds one pair at
+        a time, and the per-panel strategy seeds are spawned before the
+        first draw. A failed pass fails only its own cells.
+        """
+        from repro.core.framework import run_pair_panels_stream
+
+        frames: dict[object, list[SweepCell]] = {}
         for cell in members:
+            frames.setdefault(_frame_token(cell), []).append(cell)
+        for group in frames.values():
+            rep = group[0].config
             t0 = time.perf_counter()
             try:
-                streamed = engine.run(
-                    cell_strategies(cell), cleanup=False, config=cell.config
+                panel_results = run_pair_panels_stream(
+                    source.pairs(rep),
+                    [cell_strategies(cell) for cell in group],
+                    config=rep,
+                    distances=[self.distance] * len(group),
+                    backend=source.backend,
+                    result_configs=[cell.config for cell in group],
                 )
             except Exception as exc:
-                _fail_cells([cell], exc, errors)
+                self._fail(group, exc)
                 continue
-            results[cell.name] = streamed.result
-            batches += 1
-            _maybe_record(
-                cat, cell, keys, streamed.result, "streaming",
-                time.perf_counter() - t0,
-            )
-    finally:
-        engine.feed.cleanup()
-    return batches
+            self.n_groups += 1
+            wall = time.perf_counter() - t0
+            for cell, result in zip(group, panel_results):
+                self.results[cell.name] = result
+                key = self.keys.get(cell.name)
+                if self.cat is not None and key is not None:
+                    _record_cell(
+                        self.cat, cell, key, result, source.engine, wall,
+                        self.distance_name,
+                    )
 
+    def _fail(self, cells: Sequence[SweepCell], exc: BaseException) -> None:
+        """Record a failure for *cells* and keep the sweep going (in strict
+        mode, raise it).
 
-def _maybe_record(cat, cell, keys, result, engine: str, wall_s: float) -> None:
-    if cat is None:
-        return
-    key = keys.get(cell.name)
-    if key is None:
-        return
-    _record_cell(cat, cell, key, result, engine, wall_s)
+        The provenance string (exception type + message) lands in every
+        affected cell's :class:`CellResult`; a :class:`ResilienceWarning`
+        surfaces the loss immediately. The completed frontier is untouched.
+        """
+        if self.strict:
+            raise exc
+        message = f"{type(exc).__name__}: {exc}"
+        names = [c.name for c in cells]
+        for name in names:
+            self.errors[name] = message
+        warnings.warn(
+            f"sweep cell(s) {', '.join(repr(n) for n in names)} failed "
+            f"({message}); recording the failure and continuing with the "
+            "remaining cells",
+            ResilienceWarning,
+            stacklevel=4,
+        )
 
 
 # ---------------------------------------------------------------------------

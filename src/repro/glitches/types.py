@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data.stream import TimeSeries
 from repro.errors import DataShapeError, ValidationError
-from repro.utils.rows import rows_any
+from repro.utils.rows import rows_any, time_counts
 
 __all__ = [
     "GlitchType",
@@ -233,19 +233,17 @@ class BlockGlitches:
 
         ``weights_vector`` is the ``(m,)`` array from
         :meth:`~repro.core.glitch_index.GlitchWeights.as_array`. The time-axis
-        bit counts are exact integers, summed along a time-contiguous copy
-        of the bits: summing the time axis in place would step ``v * m``
-        counters per record. The float tail is one batched
+        bit counts are exact integers
+        (:func:`~repro.utils.rows.time_counts`). The float tail is one batched
         ``(n, v, m) / T @ w`` summed over the attributes: each series' row
         of it is the per-series ``(v, m) / T @ w`` summed, so the scores
         match :func:`series_glitch_scores` bit for bit.
         """
-        n, length, v, m = self.bits.shape
+        n, length = self.bits.shape[:2]
         if length == 0:
             return np.zeros(n)
-        by_time = self.bits.reshape(n, length, v * m).transpose(0, 2, 1)
-        counts = np.ascontiguousarray(by_time).sum(axis=-1)
-        return (counts.reshape(n, v, m) / length @ weights_vector).sum(axis=1)
+        counts = time_counts(self.bits)
+        return (counts / length @ weights_vector).sum(axis=1)
 
     def record_fraction(self, glitch: GlitchType) -> float:
         """Record-level glitch rate pooled over all series."""

@@ -7,8 +7,8 @@ arrival folds through an :class:`~repro.core.incremental.IncrementalScorer`
 record in the session's :class:`~repro.service.alerts.AlertSink`.
 :meth:`finalize` reassembles the journaled streams into the batch engine's
 exact inputs and routes them through the streaming engine's replication
-loop (:func:`~repro.core.incremental.run_replications`: index draws →
-gather → :func:`~repro.core.framework.run_pair_panels_stream`), so final
+loop (:func:`~repro.core.incremental.replication_pairs`: index draws →
+gather, then :func:`~repro.core.framework.run_pair_panels_stream`), so final
 outcomes are **bitwise-identical** to
 :class:`~repro.core.streaming.StreamingExperiment` on the same population,
 for every selectable distance — however hostile the delivery order was.
@@ -36,12 +36,16 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.executor import resolve_backend
-from repro.core.framework import ExperimentConfig, ExperimentResult
+from repro.core.framework import (
+    ExperimentConfig,
+    ExperimentResult,
+    run_pair_panels_stream,
+)
 from repro.core.glitch_index import GlitchWeights
 from repro.core.incremental import (
     IncrementalScorer,
     WindowDelta,
-    run_replications,
+    replication_pairs,
     split_verdicts,
 )
 from repro.data.window import StreamWindow
@@ -299,7 +303,7 @@ class MonitoringSession:
         Reassembles every stream (the journal must hold each one complete),
         splits on the identified verdicts, and runs the replication loop
         :class:`~repro.core.streaming.StreamingExperiment.run` runs
-        (:func:`~repro.core.incremental.run_replications`), gathering the
+        (:func:`~repro.core.incremental.replication_pairs`), gathering the
         touched series from the journal instead of the store. The outcomes
         are therefore bitwise-identical to both batch engines for every
         selectable distance, regardless of how the windows arrived.
@@ -314,19 +318,22 @@ class MonitoringSession:
             )
         dirty_idx, ideal_idx = split_verdicts(verdicts)
         lengths = np.array([s.length for s in series], dtype=np.int64)
-        result, _ = run_replications(
+        pairs, _ = replication_pairs(
             dirty_idx,
             ideal_idx,
             lengths,
             lambda needed: {idx: series[idx] for idx in needed},
-            strategies,
+            cfg,
+        )
+        return run_pair_panels_stream(
+            pairs,
+            [strategies],
             config=cfg,
-            distance=distance,
+            distances=[distance],
             weights=weights,
             constraints=constraints,
             backend=resolve_backend(backend),
-        )
-        return result
+        )[0]
 
     def close(self) -> None:
         """Release the catalog if the session opened it."""

@@ -1,4 +1,6 @@
-"""Record flags: reduce a ``(..., v)`` cell array over its attribute axis.
+"""Record flags and time counts: the short-axis reductions of cell arrays.
+
+The flag functions reduce a ``(..., v)`` cell array over its attribute axis.
 
 A record is one time instant of one series, ``v`` cells wide (``v = 3`` in
 the paper's case study). ``mask.any(axis=-1)`` over such a short last axis
@@ -7,13 +9,18 @@ times what ORing the ``v`` columns as whole arrays does
 (``m[..., 0] | m[..., 1] | m[..., 2]``). The flags are the same booleans
 either way. The flag functions return a fresh array the caller may
 modify in place.
+
+:func:`time_counts` sums a ``(..., T, v, m)`` bit tensor over its time
+axis. Summed in place, that reduction steps ``v * m`` counters per record;
+summed along a time-contiguous copy, each counter is one contiguous run.
+The counts are exact integers either way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rows_any", "rows_all", "nan_rows", "complete_rows"]
+__all__ = ["rows_any", "rows_all", "nan_rows", "complete_rows", "time_counts"]
 
 
 def rows_any(mask: np.ndarray) -> np.ndarray:
@@ -54,3 +61,12 @@ def complete_rows(values: np.ndarray) -> np.ndarray:
     """
     partial = nan_rows(values)
     return values[~partial] if partial.any() else values
+
+
+def time_counts(bits: np.ndarray) -> np.ndarray:
+    """``(..., v, m)`` counts of a boolean ``(..., T, v, m)`` tensor over
+    its time axis (``bits.sum(axis=-3)``, summed along a time-contiguous
+    copy). A single ``(T, v, m)`` window gives ``(v, m)``."""
+    *lead, length, v, m = bits.shape
+    by_time = np.moveaxis(bits.reshape(*lead, length, v * m), -1, -2)
+    return np.ascontiguousarray(by_time).sum(axis=-1).reshape(*lead, v, m)

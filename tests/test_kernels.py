@@ -3,8 +3,9 @@
 Each kernel must give bitwise the result of the plain expression: record
 flags against ``.any(-1)`` / ``.all(-1)``, grid keys against a clipped
 ``np.searchsorted``, the ``bincount`` histogram against ``np.unique``, the
-batched glitch scores against the per-series loop, and the EM start
-against ``np.nanmean`` / ``np.nanvar``.
+batched glitch scores against the per-series loop, the time-axis glitch
+counts against ``.sum(axis=-3)``, and the EM start against
+``np.nanmean`` / ``np.nanvar``.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.distance.base import clean_sample
 from repro.distance.emd import EarthMoverDistance
 from repro.distance.histogram import HistogramGrid
 from repro.glitches.types import BlockGlitches
-from repro.utils.rows import complete_rows, nan_rows, rows_all, rows_any
+from repro.utils.rows import complete_rows, nan_rows, rows_all, rows_any, time_counts
 
 
 def _searchsorted_keys(grid, rows):
@@ -231,6 +232,32 @@ class TestSeriesScores:
     def test_record_fractions_equal_per_series(self, rng):
         block = BlockGlitches(rng.random((30, 40, 3, 3)) < 0.1)
         assert block.record_fractions() == block.to_dataset_glitches().record_fractions()
+
+
+class TestTimeCounts:
+    def test_padded_chunk_with_valid_mask(self, rng):
+        # A (n, T, v, m) backfill chunk: ragged lengths, padding masked out
+        # the way the glitch fold masks it before counting.
+        bits = rng.random((6, 23, 3, 3)) < 0.3
+        lengths = np.array([23, 0, 1, 17, 22, 5])
+        valid = np.arange(23) < lengths[:, None]
+        bits &= valid[..., None, None]
+        counts = time_counts(bits)
+        assert counts.shape == (6, 3, 3)
+        assert counts.dtype == bits.sum(axis=-3).dtype
+        assert np.array_equal(counts, bits.sum(axis=-3))
+        assert not counts[1].any()
+
+    @pytest.mark.parametrize("shape", [(16, 3, 3), (1, 3, 3), (0, 3, 3), (9, 4, 2)])
+    def test_single_window(self, shape, rng):
+        bits = rng.random(shape) < 0.4
+        counts = time_counts(bits)
+        assert counts.shape == shape[1:]
+        assert np.array_equal(counts, bits.sum(axis=0))
+
+    def test_non_contiguous_input(self, rng):
+        bits = (rng.random((4, 3, 3, 30)) < 0.5).transpose(0, 3, 1, 2)
+        assert np.array_equal(time_counts(bits), bits.sum(axis=-3))
 
 
 class TestEmStart:

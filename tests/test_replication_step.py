@@ -1,13 +1,17 @@
-"""The shared draw -> gather -> evaluate step, and the layout the input
-alone chooses: uniform populations sample blocks, ragged ones per-series
-data sets."""
+"""The shared draw -> gather pair source, evaluated by the one pair-stream
+driver, and the layout the input alone chooses: uniform populations sample
+blocks, ragged ones per-series data sets."""
 
 import numpy as np
 import pytest
 
 from repro.cleaning.registry import strategy_by_name
-from repro.core.framework import ExperimentConfig, ExperimentRunner
-from repro.core.incremental import run_replications
+from repro.core.framework import (
+    ExperimentConfig,
+    ExperimentRunner,
+    run_pair_panels_stream,
+)
+from repro.core.incremental import replication_pairs
 from repro.data.generator import GeneratorConfig
 from repro.experiments.config import build_population
 from repro.sampling.replication import (
@@ -61,14 +65,14 @@ def test_matches_runner_on_materialised_population(
     bundle = tiny_bundle if layout == "uniform" else ragged_bundle
     cfg = ExperimentConfig(n_replications=2, sample_size=8, seed=4)
     population, dirty_idx, ideal_idx, lengths = _interleave(bundle)
-    result, _ = run_replications(
+    pairs, _ = replication_pairs(
         dirty_idx,
         ideal_idx,
         lengths,
         lambda needed: {i: population[i] for i in needed},
-        STRATEGIES,
         cfg,
     )
+    result = run_pair_panels_stream(pairs, [STRATEGIES], cfg)[0]
     reference = ExperimentRunner(bundle.dirty, bundle.ideal, config=cfg).run(
         STRATEGIES
     )
@@ -84,9 +88,7 @@ def test_gathers_exactly_the_touched_series(tiny_bundle):
         requests.append(needed)
         return {i: population[i] for i in needed}
 
-    _, n_gathered = run_replications(
-        dirty_idx, ideal_idx, lengths, gather, STRATEGIES, cfg
-    )
+    _, n_gathered = replication_pairs(dirty_idx, ideal_idx, lengths, gather, cfg)
     touched = set()
     for d_draw, i_draw in replication_index_streams(
         len(dirty_idx), len(ideal_idx), cfg.n_replications, cfg.sample_size,

@@ -739,13 +739,14 @@ class TestRunExperimentCatalog:
         warm = run_experiment(scale="tiny", seed=0)
         assert _keys(warm) == _keys(cold)
         with Catalog(path) as cat:
-            # The cold pass stores the recipe-keyed cell (run_experiment) and
-            # the content-keyed cell (run_figure6 resolves the env too); the
-            # warm pass hits the recipe key before building anything.
-            assert cat.stats()["outcomes"] == 2
+            # The cold pass stores the one recipe-keyed cell it ran (the
+            # bundle it built is never hashed); the warm pass hits that key
+            # before building anything.
+            assert cat.stats()["outcomes"] == 1
+            assert (cat.hits, cat.misses) == (0, 0)
             rows = cat._conn.execute("SELECT population_key FROM outcomes")
             kinds = sorted(k.split(":")[0] for (k,) in rows)
-            assert kinds == ["content", "recipe"]
+            assert kinds == ["recipe"]
 
     def test_default_distance_instance_keys_by_name(self, tmp_path):
         """An explicit instance equal to its registry default is the same

@@ -21,7 +21,6 @@ from repro.core.framework import ExperimentConfig, ExperimentRunner
 from repro.core.incremental import RowChunk
 from repro.core.streaming import (
     StreamingExperiment,
-    run_streaming_experiment,
     streaming_enabled,
 )
 from repro.data.generator import GeneratorConfig
@@ -309,9 +308,9 @@ class TestSelection:
         assert _keys(first.result) == _keys(second.result)
 
     def test_run_streaming_experiment_entry_point(self, tiny_cfg):
-        streamed = run_streaming_experiment(
-            "tiny", seed=0, config=tiny_cfg, strategies=STRATEGIES
-        )
+        streamed = StreamingExperiment.from_scale(
+            "tiny", seed=0, config=tiny_cfg
+        ).run(STRATEGIES)
         assert len(streamed.outcomes) == tiny_cfg.n_replications * len(STRATEGIES)
 
 

@@ -16,9 +16,14 @@ import pytest
 
 from repro.cleaning.partial import PartialCleaner
 from repro.cleaning.registry import paper_strategies, strategy_by_name
+import repro.core.framework as framework
+import repro.sampling.replication as replication
+from repro.core.executor import SerialBackend
 from repro.core.framework import ExperimentConfig, ExperimentRunner
+from repro.core.streaming import StreamingExperiment
 from repro.errors import ExperimentError, ValidationError
-from repro.experiments.config import build_population, experiment_config
+from repro.experiments.config import SCALES, build_population, experiment_config
+from repro.experiments.paper import run_experiment, run_figure6
 from repro.experiments.sweep import (
     SWEEP_INCREMENTAL_ENV_VAR,
     PlanDiff,
@@ -31,7 +36,7 @@ from repro.experiments.sweep import (
     run_sweep,
     sweep_incremental_enabled,
 )
-from repro.store.catalog import CODE_SALT_ENV_VAR, Catalog
+from repro.store.catalog import CATALOG_ENV_VAR, CODE_SALT_ENV_VAR, Catalog
 
 
 def _keys(result):
@@ -235,6 +240,57 @@ class TestRunSweep:
             ).run(paper_strategies())
             assert _keys(res[cell.name]) == _keys(expect)
 
+    def test_streaming_frame_group_matches_separate_runs(self, cfg):
+        """Streaming cells that share a config run as one multi-panel pass
+        over one engine's pairs, bitwise two separate engine runs."""
+        scfg = cfg.variant(streaming=True)
+        strategies = paper_strategies()
+        cells = [
+            SweepCell(name="head", config=scfg, strategies=tuple(strategies[:2]),
+                      scale="tiny"),
+            SweepCell(name="tail", config=scfg, strategies=tuple(strategies[2:]),
+                      scale="tiny"),
+        ]
+        res = run_sweep(cells)
+        assert res.n_groups == 1 and res.n_builds == 0
+        for cell in cells:
+            engine = StreamingExperiment.from_scale("tiny", seed=0, config=scfg)
+            expect = engine.run(list(cell.strategies)).result
+            assert _keys(res[cell.name]) == _keys(expect)
+
+    def test_bundle_group_streams_its_pairs(self, cfg, tiny_bundle, monkeypatch):
+        """On the serial backend a frame group evaluates pair r before it
+        draws pair r + 1: the group never holds its pairs all at once."""
+        draw = replication.generate_test_pairs
+        evaluate = framework.evaluate_pair_panels
+        events = []
+
+        def spied_pairs(*args, **kwargs):
+            for pair in draw(*args, **kwargs):
+                events.append(("draw", pair.index))
+                yield pair
+
+        def spied_evaluate(pair, *args, **kwargs):
+            events.append(("evaluate", pair.index))
+            return evaluate(pair, *args, **kwargs)
+
+        monkeypatch.setattr(replication, "generate_test_pairs", spied_pairs)
+        monkeypatch.setattr(framework, "evaluate_pair_panels", spied_evaluate)
+        rcfg = cfg.variant(n_replications=3)
+        strategies = paper_strategies()
+        cells = [
+            SweepCell(name="head", config=rcfg, strategies=tuple(strategies[:2]),
+                      bundle=tiny_bundle),
+            SweepCell(name="tail", config=rcfg, strategies=tuple(strategies[2:]),
+                      bundle=tiny_bundle),
+        ]
+        # An instance, not a name: REPRO_BACKEND overrides backend names.
+        res = run_sweep(cells, backend=SerialBackend())
+        assert res.n_groups == 1
+        assert events == [
+            (kind, r) for r in range(3) for kind in ("draw", "evaluate")
+        ]
+
     def test_uncacheable_cell_still_runs(self, tiny_bundle):
         rng_cfg = ExperimentConfig(
             n_replications=2, sample_size=8, seed=np.random.default_rng(7)
@@ -316,6 +372,18 @@ class TestIncrementalServing:
             monkeypatch.delenv(SWEEP_INCREMENTAL_ENV_VAR)
             assert sweep_incremental_enabled()
             assert sweep_incremental_enabled(override=False) is False
+
+    def test_recipe_row_records_n_series(self, cfg, tmp_path):
+        """A recipe's population row carries its size whichever entry point
+        wrote it first: the sweep records it as run_experiment does."""
+        with Catalog(tmp_path / "cat.sqlite") as cat:
+            run_sweep([SweepCell(name="c", config=cfg, scale="tiny")], catalog=cat)
+            rows = cat._conn.execute(
+                "SELECT kind, scale, n_series FROM populations"
+            ).fetchall()
+        gen = SCALES["tiny"].generator
+        n_series = gen.n_rnc * gen.towers_per_rnc * gen.sectors_per_tower
+        assert [tuple(r) for r in rows] == [("recipe", "tiny", n_series)]
 
     @pytest.mark.parametrize("raw", ["2", "maybe"])
     def test_malformed_incremental_env_rejected(self, monkeypatch, raw):
@@ -435,3 +503,40 @@ class TestBundleCells:
             assert (warm.n_hits, warm.n_recomputed) == (2, 0)
             for name in cold.keys():
                 assert _keys(warm[name]) == _keys(cold[name])
+
+
+# ---------------------------------------------------------------------------
+# One-cell entry points through the same executor
+# ---------------------------------------------------------------------------
+
+
+class TestOneCellEntryPoints:
+    def test_entry_points_key_cells_as_the_sweep_does(self, cfg, tiny_bundle, tmp_path):
+        """A cell scored by run_experiment or run_figure6 is a hit for the
+        equal sweep cell, and back: one key, one record path."""
+        with Catalog(tmp_path / "cat.sqlite") as cat:
+            recipe = run_experiment(scale="tiny", seed=0, config=cfg, catalog=cat)
+            bundle = run_figure6(tiny_bundle, config=cfg, catalog=cat)
+            res = run_sweep(
+                [
+                    SweepCell(name="recipe", config=cfg, scale="tiny"),
+                    SweepCell(name="bundle", config=cfg, bundle=tiny_bundle),
+                ],
+                catalog=cat,
+            )
+            assert res.n_hits == 2 and res.n_recomputed == 0
+            assert _keys(res["recipe"]) == _keys(recipe)
+            assert _keys(res["bundle"]) == _keys(bundle)
+            assert cat.stats()["outcomes"] == 2
+
+    def test_figure6_without_catalog_never_hashes(self, cfg, tiny_bundle, monkeypatch):
+        monkeypatch.delenv(CATALOG_ENV_VAR, raising=False)
+        bundle = replace(tiny_bundle)  # no memoised content key
+
+        def boom(self):  # pragma: no cover - must never run
+            raise AssertionError("run_figure6 hashed its bundle")
+
+        monkeypatch.setattr(type(bundle), "fingerprint", boom)
+        result = run_figure6(bundle, config=cfg)
+        assert _keys(result) == _keys(_standalone(tiny_bundle, SweepCell(
+            name="c", config=cfg, bundle=tiny_bundle)))

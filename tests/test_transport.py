@@ -123,6 +123,15 @@ class TestAutoBackend:
         cost = np.array([[2.0]])
         assert solve_transport(supply, demand, cost).cost == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (20, 20)])
+    def test_auto_is_highs_at_every_size(self, shape):
+        rng = np.random.default_rng(3)
+        supply, demand, cost = random_instance(rng, *shape)
+        auto = solve_transport(supply, demand, cost)
+        highs = solve_transport(supply, demand, cost, backend="highs")
+        assert auto.cost == highs.cost
+        assert np.array_equal(auto.flow, highs.flow)
+
     def test_auto_large_instance_works(self):
         rng = np.random.default_rng(0)
         supply, demand, cost = random_instance(rng, 30, 30)
